@@ -68,27 +68,18 @@ class BloomFilter:
             self.add(key)
 
     def __contains__(self, key: str) -> bool:
+        """The membership probe: all ``k`` positions of ``key`` are set.
+
+        Detection asks it through a
+        :class:`~repro.core.signatures.SignatureTable`: once per
+        vocabulary signature when the table is built, and once per
+        out-of-vocabulary vector its memo does not hold, so verdicts are
+        this probe's answers bit for bit without hashing every package.
+        """
         return all(
             self._bits[position >> 3] & (1 << (position & 7))
             for position in self._hasher.positions(key.encode("utf-8"))
         )
-
-    def contains_many(self, keys: Iterable[str]) -> np.ndarray:
-        """Vectorized membership test; one bool per key.
-
-        All ``k × len(keys)`` probe positions are tested in a single
-        numpy bit-gather, so batched detection pays Python overhead only
-        for the hashing itself.
-        """
-        key_list = list(keys)
-        if not key_list:
-            return np.zeros(0, dtype=bool)
-        positions = np.array(
-            [list(self._hasher.positions(key.encode("utf-8"))) for key in key_list],
-            dtype=np.int64,
-        )
-        probed = self._bits[positions >> 3] & (1 << (positions & 7)).astype(np.uint8)
-        return (probed != 0).all(axis=1)
 
     def __len__(self) -> int:
         """Number of insertions performed (not distinct elements)."""

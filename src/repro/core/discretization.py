@@ -24,8 +24,10 @@ data), which the paper's dataset also contains.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
+from operator import attrgetter
 from typing import Any
 
 import numpy as np
@@ -34,6 +36,12 @@ from repro.core.kmeans import assign_clusters, kmeans
 from repro.ics.features import PID_PARAMETER_NAMES, Package
 from repro.utils.artifact import ArtifactError
 from repro.utils.rng import SeedLike, spawn_generators
+
+
+#: Rows per vectorized block of the joint k-means transform: bounds the
+#: ``(rows, clusters, features)`` delta array when a whole capture is
+#: discretized at once.
+_ND_BLOCK = 256
 
 
 class DiscretizerNotFitted(RuntimeError):
@@ -117,6 +125,7 @@ class KMeans1DDiscretizer(_BaseDiscretizer):
         self._rng = rng
         self.centroids_: np.ndarray | None = None
         self.radii_: np.ndarray | None = None
+        self._bands: list[tuple[float, float]] = []
 
     @property
     def num_regular(self) -> int:
@@ -140,18 +149,35 @@ class KMeans1DDiscretizer(_BaseDiscretizer):
             member_distances = distances[result.assignments == j]
             if member_distances.size:
                 radii[j] = max(floor, float(member_distances.max()))
-        self.radii_ = radii
+        self._set_clusters(self.centroids_, radii)
         self._fitted = True
         return self
 
+    def _set_clusters(self, centroids: np.ndarray, radii: np.ndarray) -> None:
+        self.centroids_ = centroids
+        self.radii_ = radii
+        # The scalar path's view: each centroid and its acceptance limit
+        # ``margin * radius`` as Python floats, the same doubles
+        # :meth:`transform_many` compares with.
+        self._bands = list(zip(centroids.tolist(), (self.margin * radii).tolist()))
+
     def transform(self, value: float | None) -> int:
+        """Code of one value, in pure Python.
+
+        Bitwise equal to :meth:`transform_many` on ``[value]``: the same
+        IEEE subtractions, ``abs`` and comparison on the same doubles,
+        and the first of equal distances wins like ``argmin``.
+        """
         self._require_fitted()
-        if value is None or not np.isfinite(value):
+        if value is None:
             return self.missing_code
-        assert self.centroids_ is not None and self.radii_ is not None
-        distances = np.abs(self.centroids_ - value)
-        nearest = int(np.argmin(distances))
-        if distances[nearest] > self.margin * self.radii_[nearest]:
+        value = float(value)
+        if not math.isfinite(value):
+            return self.missing_code
+        bands = self._bands
+        distances = [abs(value - centroid) for centroid, _ in bands]
+        nearest = distances.index(min(distances))
+        if distances[nearest] > bands[nearest][1]:
             return self.out_of_range_code
         return nearest
 
@@ -187,10 +213,11 @@ class KMeans1DDiscretizer(_BaseDiscretizer):
     @classmethod
     def _load_state(cls, state: dict[str, Any]) -> "KMeans1DDiscretizer":
         channel = cls(int(state["num_clusters"]), float(state["margin"]))
-        channel.centroids_ = np.asarray(state["centroids"], dtype=np.float64)
-        channel.radii_ = np.asarray(state["radii"], dtype=np.float64)
-        if channel.centroids_.shape != channel.radii_.shape:
+        centroids = np.asarray(state["centroids"], dtype=np.float64)
+        radii = np.asarray(state["radii"], dtype=np.float64)
+        if centroids.shape != radii.shape:
             raise ArtifactError("k-means centroids/radii shape mismatch")
+        channel._set_clusters(centroids, radii)
         return channel
 
 
@@ -250,21 +277,46 @@ class KMeansNDDiscretizer(_BaseDiscretizer):
         return self
 
     def transform(self, row: Sequence[float] | None) -> int:
-        self._require_fitted()
-        if row is None or any(v is None or not np.isfinite(v) for v in row):
-            return self.missing_code
-        assert self.centroids_ is not None and self.radii_ is not None
-        point = self._standardize(np.asarray(row, dtype=np.float64))[None, :]
-        deltas = self.centroids_ - point
-        distances = np.sqrt(np.sum(deltas * deltas, axis=1))
-        nearest = int(np.argmin(distances))
-        if distances[nearest] > self.margin * self.radii_[nearest]:
-            return self.out_of_range_code
-        return nearest
+        """Code of one row (a one-row :meth:`transform_many`)."""
+        return int(self.transform_many([row])[0])
 
     def transform_many(self, rows: Sequence[Sequence[float] | None]) -> np.ndarray:
+        """Codes of many rows, vectorized across rows.
+
+        A row with a missing or non-finite value gets the missing code.
+        The others are standardized and measured against every centroid
+        in blocks of ``(rows, clusters, features)``; each distance sums
+        the squared deltas along the same contiguous feature axis as a
+        single-row ``(clusters, features)`` pass, so every code is
+        bitwise what a row-at-a-time transform gives.
+        """
         self._require_fitted()
-        return np.array([self.transform(row) for row in rows], dtype=np.int64)
+        assert self.centroids_ is not None and self.radii_ is not None
+        out = np.full(len(rows), self.missing_code, dtype=np.int64)
+        present = [
+            i
+            for i, row in enumerate(rows)
+            if row is not None and all(v is not None for v in row)
+        ]
+        if not present:
+            return out
+        data = np.array([rows[i] for i in present], dtype=np.float64)
+        finite = np.isfinite(data).all(axis=1)
+        index = np.asarray(present, dtype=np.int64)[finite]
+        points = self._standardize(data[finite])
+        limits = self.margin * self.radii_
+        for start in range(0, index.size, _ND_BLOCK):
+            block = points[start : start + _ND_BLOCK]
+            deltas = self.centroids_[None, :, :] - block[:, None, :]
+            distances = np.sqrt((deltas * deltas).sum(axis=2))
+            nearest = np.argmin(distances, axis=1)
+            # The row minimum is the value at argmin (a NaN is both).
+            out[index[start : start + _ND_BLOCK]] = np.where(
+                distances.min(axis=1) > limits[nearest],
+                self.out_of_range_code,
+                nearest,
+            )
+        return out
 
     def _fitted_state(self) -> dict[str, Any]:
         assert self.centroids_ is not None and self.radii_ is not None
@@ -324,15 +376,27 @@ class EvenIntervalDiscretizer(_BaseDiscretizer):
         return self
 
     def transform(self, value: float | None) -> int:
+        """Code of one value, in pure Python.
+
+        Bitwise equal to :meth:`transform_many` on ``[value]``: the value
+        is converted to a double first and goes through the same IEEE
+        operations (truncation toward zero matches ``astype(int64)`` on
+        the non-negative position), for any fitted range whose width
+        ``high - low`` is finite.
+        """
         self._require_fitted()
-        if value is None or not np.isfinite(value):
-            return self.missing_code
         assert self.low_ is not None and self.high_ is not None
-        if value < self.low_ or value > self.high_:
+        if value is None:
+            return self.missing_code
+        value = float(value)
+        if not math.isfinite(value):
+            return self.missing_code
+        low, high = self.low_, self.high_
+        if value < low or value > high:
             return self.out_of_range_code
-        if self.high_ == self.low_:
+        if high == low:
             return 0
-        position = (value - self.low_) / (self.high_ - self.low_)
+        position = (value - low) / (high - low)
         return min(self.num_bins - 1, int(position * self.num_bins))
 
     def transform_many(self, values: Sequence[float | None]) -> np.ndarray:
@@ -399,10 +463,9 @@ class IdentityDiscretizer(_BaseDiscretizer):
 
     def transform(self, value: float | None) -> int:
         self._require_fitted()
-        if value is None or (isinstance(value, float) and not np.isfinite(value)):
+        if value is None or (isinstance(value, float) and not math.isfinite(value)):
             return self.missing_code
-        code = self.mapping_.get(float(value))
-        return self.out_of_range_code if code is None else code
+        return self.mapping_.get(float(value), self.out_of_range_code)
 
     def transform_many(self, values: Sequence[float | None]) -> np.ndarray:
         return np.array([self.transform(v) for v in values], dtype=np.int64)
@@ -460,6 +523,15 @@ CHANNEL_ORDER: tuple[str, ...] = DISCRETE_FEATURES + (
     "pressure",
     "pid",
 )
+
+_discrete_row = attrgetter(*DISCRETE_FEATURES)
+_pid_values = attrgetter(*PID_PARAMETER_NAMES)
+
+
+def _pid_row(package: Package) -> tuple | None:
+    """The PID block of one package, ``None`` when any parameter is missing."""
+    values = _pid_values(package)
+    return None if None in values else values
 
 
 @dataclass(frozen=True)
@@ -537,28 +609,14 @@ class FeatureDiscretizer:
     def _raw_columns(
         packages: Sequence[Package], prev_time: float | None
     ) -> dict[str, list]:
-        columns = FeatureDiscretizer._raw_feature_columns(packages)
-        columns["interval"] = intervals_of(packages, prev_time)
-        return columns
-
-    @staticmethod
-    def _raw_feature_columns(packages: Sequence[Package]) -> dict[str, list]:
-        """All raw columns except ``interval`` (whose neighbour semantics
-        differ between consecutive sequences and cross-stream batches)."""
         columns: dict[str, list] = {
             name: [p.feature(name) for p in packages] for name in DISCRETE_FEATURES
         }
+        columns["interval"] = intervals_of(packages, prev_time)
         columns["crc_rate"] = [p.crc_rate for p in packages]
         columns["setpoint"] = [p.setpoint for p in packages]
         columns["pressure"] = [p.pressure_measurement for p in packages]
-        columns["pid"] = [
-            (
-                None
-                if any(p.feature(name) is None for name in PID_PARAMETER_NAMES)
-                else tuple(p.feature(name) for name in PID_PARAMETER_NAMES)
-            )
-            for p in packages
-        ]
+        columns["pid"] = [_pid_row(p) for p in packages]
         return columns
 
     # -- fitting ----------------------------------------------------------
@@ -680,20 +738,39 @@ class FeatureDiscretizer:
         Unlike :meth:`transform_sequence` the packages are *not*
         consecutive: ``packages[i]`` is the next package of stream ``i``
         and its time interval is measured against ``prev_times[i]``
-        (``None`` when stream ``i`` has no history yet).  Every channel
-        is transformed column-wise across the whole batch, so an N-stream
-        tick costs one vectorized pass instead of N scalar ones.
+        (``None`` when stream ``i`` has no history yet).
+
+        Built for ticks of one or a few rows: each package makes one pass
+        over the twelve scalar channels through their pure-Python
+        ``transform``, and only the joint PID clustering is vectorized,
+        across the tick's rows.  Exactness contract: the codes are
+        bitwise those of the columnar :meth:`transform_columns` path
+        (each channel's ``transform`` equals its ``transform_many``).
         """
         self._require_fitted()
         if len(packages) != len(prev_times):
             raise ValueError(
                 f"{len(packages)} packages given for {len(prev_times)} streams"
             )
-        if not packages:
-            return []
-        raw = self._raw_feature_columns(packages)
-        raw["interval"] = [
-            None if prev is None else package.time - prev
-            for package, prev in zip(packages, prev_times)
-        ]
-        return self._codes_from_columns(self._transform_raw(raw))
+        channels = self._channels
+        discrete = [channels[name].transform for name in DISCRETE_FEATURES]
+        interval = channels["interval"].transform
+        crc_rate = channels["crc_rate"].transform
+        setpoint = channels["setpoint"].transform
+        pressure = channels["pressure"].transform
+        pid_rows = [_pid_row(package) for package in packages]
+        pid_codes = channels["pid"].transform_many(pid_rows).tolist()
+        codes: list[tuple[int, ...]] = []
+        for package, prev, pid in zip(packages, prev_times, pid_codes):
+            codes.append((
+                *[
+                    transform(value)
+                    for transform, value in zip(discrete, _discrete_row(package))
+                ],
+                interval(None if prev is None else package.time - prev),
+                crc_rate(package.crc_rate),
+                setpoint(package.setpoint),
+                pressure(package.pressure_measurement),
+                pid,
+            ))
+        return codes

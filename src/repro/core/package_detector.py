@@ -13,7 +13,7 @@ import numpy as np
 
 from repro.core.bloom import BloomFilter
 from repro.core.discretization import FeatureDiscretizer
-from repro.core.signatures import SignatureVocabulary, signature_of
+from repro.core.signatures import SignatureTable, SignatureVocabulary, signature_of
 from repro.ics.features import Package
 
 
@@ -40,6 +40,7 @@ class PackageLevelDetector:
         self.bloom_false_positive_rate = bloom_false_positive_rate
         self.bloom: BloomFilter | None = None
         self.vocabulary: SignatureVocabulary | None = None
+        self._table: SignatureTable | None = None
 
     def fit(self, fragments: Sequence[Sequence[Package]]) -> "PackageLevelDetector":
         """Build the signature database from anomaly-free fragments."""
@@ -55,6 +56,7 @@ class PackageLevelDetector:
         bloom.update(vocabulary.signatures)
         self.vocabulary = vocabulary
         self.bloom = bloom
+        self._table = SignatureTable(vocabulary, bloom.__contains__)
         return self
 
     def _require_fitted(self) -> None:
@@ -81,29 +83,54 @@ class PackageLevelDetector:
         detector = cls(discretizer, float(state["bloom_false_positive_rate"]))
         detector.bloom = BloomFilter.from_state(state["bloom"])
         detector.vocabulary = SignatureVocabulary.from_state(state["vocabulary"])
+        detector._table = SignatureTable(
+            detector.vocabulary, detector.bloom.__contains__
+        )
         return detector
 
     # -- detection ------------------------------------------------------------
 
+    def signature_table(self) -> SignatureTable:
+        """The :class:`SignatureTable` over this detector's filter.
+
+        Built by :meth:`fit` and :meth:`from_state`, which probe every
+        vocabulary signature with the real ``signature in bloom``, so its
+        answers are the probe's answers.
+        """
+        self._require_fitted()
+        assert self._table is not None
+        return self._table
+
+    def resolve_batch(
+        self, codes_batch: Sequence[Sequence[int]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``F_p`` verdicts and vocabulary ids of a batch, one lookup each.
+
+        Returns ``(flagged, ids)``: ``flagged[i]`` is ``True`` when the
+        signature of ``codes_batch[i]`` is not in the Bloom filter, and
+        ``ids[i]`` is its vocabulary id (``-1`` when out of vocabulary).
+        Both equal what ``signature_of`` + ``signature in bloom`` +
+        ``vocabulary.id_of`` give (see :class:`SignatureTable`).
+        """
+        resolve = self.signature_table().resolve
+        entries = [resolve(codes) for codes in codes_batch]
+        return (
+            np.array([flagged for flagged, _ in entries], dtype=bool),
+            np.array([index for _, index in entries], dtype=np.int64),
+        )
+
     def is_anomalous_codes(self, codes: Sequence[int]) -> bool:
         """``F_p`` on an already-discretized vector."""
-        self._require_fitted()
-        assert self.bloom is not None
-        return signature_of(codes) not in self.bloom
+        return self.signature_table().resolve(codes)[0]
 
     def anomalous_codes_batch(
         self, codes_batch: Sequence[Sequence[int]]
     ) -> np.ndarray:
         """``F_p`` over a batch of discretized vectors (one per stream).
 
-        Returns a boolean array; ``True`` marks anomalies.  The Bloom
-        probes run as one vectorized bit-gather.
+        Returns a boolean array; ``True`` marks anomalies.
         """
-        self._require_fitted()
-        assert self.bloom is not None
-        return ~self.bloom.contains_many(
-            [signature_of(codes) for codes in codes_batch]
-        )
+        return self.resolve_batch(codes_batch)[0]
 
     def classify_sequence(
         self, packages: Sequence[Package], prev_time: float | None = None
@@ -113,11 +140,8 @@ class PackageLevelDetector:
         Returns a boolean array; ``True`` marks anomalies.
         """
         self._require_fitted()
-        assert self.bloom is not None
         codes = self.discretizer.transform_sequence(packages, prev_time)
-        return np.array(
-            [signature_of(c) not in self.bloom for c in codes], dtype=bool
-        )
+        return self.anomalous_codes_batch(codes)
 
     def validation_error(
         self, fragments: Sequence[Sequence[Package]]

@@ -257,6 +257,11 @@ class StreamEngine:
         those streams advance; the rest keep their state untouched.
         Result arrays align with the input order and hold one verdict
         plus one ``LEVEL_*`` tag per observed package.
+
+        Exactness contract: verdicts, levels and every recurrent-state
+        byte equal the reference Fig. 3 path (columnar discretization,
+        ``signature_of`` + Bloom probe + vocabulary lookup, piecewise
+        sigmoid) at any batch size, including partial ticks.
         """
         if isinstance(packages, Mapping):
             items = list(packages.items())
@@ -281,27 +286,33 @@ class StreamEngine:
         for slot, package in zip(slots, batch):
             self._prev_times[slot] = package.time
 
-        # Level 1: vectorized signature membership (Bloom bit-gather).
-        flagged = detector.package_detector.anomalous_codes_batch(codes)
+        # Level 1: signature membership, and the vocabulary ids level 2
+        # needs, from one table lookup per code vector.
+        flagged, ids = detector.package_detector.resolve_batch(codes)
 
         # Level 2: one batched LSTM step; Bloom-flagged rows skip the
         # top-k check but still feed the recurrent history with the
-        # noise bit set (Fig. 3 data path, batched).
+        # noise bit set (Fig. 3 data path, batched).  A partial tick
+        # steps only its rows and writes them back in place.
         state = self._state.select(slots) if partial else self._state
         verdicts, new_state = detector.timeseries.observe_batch(
-            codes, state, forced_anomalous=flagged
+            codes, state, forced_anomalous=flagged, signature_ids=ids
         )
-        self._state = (
-            self._state.replace_rows(slots, new_state) if partial else new_state
+        if partial:
+            self._state.set_rows(slots, new_state)
+        else:
+            self._state = new_state
+
+        levels = np.where(
+            flagged, LEVEL_PACKAGE, np.where(verdicts, LEVEL_TIMESERIES, LEVEL_NONE)
         )
-
-        levels = np.full(len(batch), LEVEL_NONE, dtype=np.int64)
-        levels[flagged] = LEVEL_PACKAGE
-        levels[~flagged & verdicts] = LEVEL_TIMESERIES
-
-        self._stats.ticks += 1
-        self._stats.packages += len(batch)
-        self._stats.alerts += int(verdicts.sum())
-        self._stats.package_level += int((levels == LEVEL_PACKAGE).sum())
-        self._stats.timeseries_level += int((levels == LEVEL_TIMESERIES).sum())
+        alerts = int(np.count_nonzero(verdicts))
+        package_level = int(np.count_nonzero(flagged))
+        stats = self._stats
+        stats.ticks += 1
+        stats.packages += len(batch)
+        stats.alerts += alerts
+        stats.package_level += package_level
+        # Flagged rows are always anomalous, so the rest are level 2.
+        stats.timeseries_level += alerts - package_level
         return verdicts, levels

@@ -102,8 +102,8 @@ def _lstm_states_from_state(state: dict[str, Any]) -> list[LSTMState]:
         layer = state.get(f"layer{i}")
         if layer is None:
             raise ArtifactError(f"LSTM state missing layer{i}")
-        h = np.asarray(layer["h"], dtype=np.float64)
-        c = np.asarray(layer["c"], dtype=np.float64)
+        h = np.array(layer["h"], dtype=np.float64)
+        c = np.array(layer["c"], dtype=np.float64)
         if h.shape != c.shape or h.ndim != 2:
             raise ArtifactError(
                 f"LSTM layer{i} state has shapes h={h.shape}, c={c.shape}"
@@ -132,39 +132,50 @@ class BatchStreamState:
         return int(self.packages_seen.shape[0])
 
     def select(self, indices: Sequence[int] | np.ndarray) -> "BatchStreamState":
-        """Row subset — compacts detached streams out of the batch."""
+        """Row subset (a copy) — compacts detached streams out of the batch."""
         idx = np.asarray(indices, dtype=np.int64)
         return BatchStreamState(
             lstm_states=StackedLSTMClassifier.select_states(self.lstm_states, idx),
-            last_probs=self.last_probs[idx].copy(),
-            has_probs=self.has_probs[idx].copy(),
-            packages_seen=self.packages_seen[idx].copy(),
+            last_probs=self.last_probs[idx],
+            has_probs=self.has_probs[idx],
+            packages_seen=self.packages_seen[idx],
         )
 
-    def replace_rows(
+    def copy(self) -> "BatchStreamState":
+        """Deep copy of every array."""
+        return BatchStreamState(
+            lstm_states=[state.copy() for state in self.lstm_states],
+            last_probs=self.last_probs.copy(),
+            has_probs=self.has_probs.copy(),
+            packages_seen=self.packages_seen.copy(),
+        )
+
+    def set_rows(
         self, indices: Sequence[int] | np.ndarray, other: "BatchStreamState"
-    ) -> "BatchStreamState":
-        """Copy with ``other``'s rows scattered into positions ``indices``."""
+    ) -> None:
+        """Scatter ``other``'s rows into positions ``indices``, in place.
+
+        A partial engine tick writes back only the rows it advanced,
+        instead of copying every array of the batch.
+        """
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size != other.batch_size:
             raise ValueError(
                 f"{idx.size} indices given for {other.batch_size} replacement rows"
             )
-        last_probs = self.last_probs.copy()
-        has_probs = self.has_probs.copy()
-        packages_seen = self.packages_seen.copy()
-        last_probs[idx] = other.last_probs
-        has_probs[idx] = other.has_probs
-        packages_seen[idx] = other.packages_seen
-        return BatchStreamState(
-            lstm_states=[
-                state.replace_rows(idx, new)
-                for state, new in zip(self.lstm_states, other.lstm_states)
-            ],
-            last_probs=last_probs,
-            has_probs=has_probs,
-            packages_seen=packages_seen,
-        )
+        for state, new in zip(self.lstm_states, other.lstm_states):
+            state.set_rows(idx, new)
+        self.last_probs[idx] = other.last_probs
+        self.has_probs[idx] = other.has_probs
+        self.packages_seen[idx] = other.packages_seen
+
+    def replace_rows(
+        self, indices: Sequence[int] | np.ndarray, other: "BatchStreamState"
+    ) -> "BatchStreamState":
+        """Copy with ``other``'s rows scattered into positions ``indices``."""
+        merged = self.copy()
+        merged.set_rows(indices, other)
+        return merged
 
     @classmethod
     def concat(cls, states: Sequence["BatchStreamState"]) -> "BatchStreamState":
@@ -195,13 +206,18 @@ class BatchStreamState:
 
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "BatchStreamState":
-        """Rebuild a batch snapshot from :meth:`state_dict` output."""
+        """Rebuild a batch snapshot from :meth:`state_dict` output.
+
+        Every array is copied: an engine writes partial-tick rows in
+        place, so it must own its state rather than alias (possibly
+        read-only) arrays of the caller's state dict.
+        """
         lstm_states = _lstm_states_from_state(state["lstm"])
         restored = cls(
             lstm_states=lstm_states,
-            last_probs=np.asarray(state["last_probs"], dtype=np.float64),
-            has_probs=np.asarray(state["has_probs"], dtype=bool),
-            packages_seen=np.asarray(state["packages_seen"], dtype=np.int64),
+            last_probs=np.array(state["last_probs"], dtype=np.float64),
+            has_probs=np.array(state["has_probs"], dtype=bool),
+            packages_seen=np.array(state["packages_seen"], dtype=np.int64),
         )
         batch = restored.batch_size
         rows = {restored.last_probs.shape[0], restored.has_probs.shape[0]}
@@ -229,13 +245,24 @@ class CodeEncoder:
         if not cardinalities:
             raise ValueError("cardinalities must be non-empty")
         self.cardinalities = tuple(int(c) for c in cardinalities)
-        self._offsets = np.concatenate([[0], np.cumsum(self.cardinalities[:-1])])
+        self._offsets = np.concatenate(
+            [[0], np.cumsum(self.cardinalities[:-1])]
+        ).astype(np.int64)
+        # Unsigned bounds: a negative code wraps to a huge unsigned value,
+        # so one comparison checks both ends of every channel's range.
+        self._bounds = np.asarray(self.cardinalities, dtype=np.uint64)
         self.input_size = int(sum(self.cardinalities)) + 1  # + noise bit
 
     def encode_sequence(
         self, codes: Sequence[CodeVector], noise_flags: Sequence[bool] | None = None
     ) -> np.ndarray:
-        """Encode a fragment into a ``(T, D)`` float matrix."""
+        """Encode a fragment into a ``(T, D)`` float matrix.
+
+        Raises ``ValueError`` on a code outside its channel's range.
+        The channel offsets and range bounds are fixed at construction,
+        so a call builds only the row-index column of its scatter; the
+        matrix is the same one-hot matrix at any batch size.
+        """
         count = len(codes)
         out = np.zeros((count, self.input_size))
         if count == 0:
@@ -246,13 +273,11 @@ class CodeEncoder:
                 f"code vectors have {matrix.shape[1]} channels, expected "
                 f"{len(self.cardinalities)}"
             )
-        if np.any(matrix < 0) or np.any(matrix >= np.asarray(self.cardinalities)):
+        if (matrix.view(np.uint64) >= self._bounds).any():
             raise ValueError("code out of range for channel cardinality")
-        positions = matrix + self._offsets[None, :]
-        rows = np.repeat(np.arange(count), matrix.shape[1])
-        out[rows, positions.reshape(-1)] = 1.0
+        out[np.arange(count)[:, None], matrix + self._offsets] = 1.0
         if noise_flags is not None:
-            out[:, -1] = np.asarray(noise_flags, dtype=np.float64)
+            out[:, -1] = noise_flags
         return out
 
     def encode_one(self, codes: CodeVector, noise_flag: bool) -> np.ndarray:
@@ -519,10 +544,15 @@ class TimeSeriesDetector:
         codes_batch: Sequence[CodeVector],
         state: BatchStreamState,
         forced_anomalous: np.ndarray | None = None,
+        *,
+        signature_ids: np.ndarray,
     ) -> tuple[np.ndarray, BatchStreamState]:
         """One batched tick: the next package of every monitored stream.
 
-        ``codes_batch[i]`` belongs to stream ``i`` (batch row ``i``).
+        ``codes_batch[i]`` belongs to stream ``i`` (batch row ``i``) and
+        ``signature_ids[i]`` is its signature's vocabulary id, ``-1``
+        when out of vocabulary (the engine gets both verdict and id from
+        one :class:`~repro.core.signatures.SignatureTable` lookup).
         Per-stream semantics match :meth:`observe` exactly — first
         package passes, out-of-vocabulary signatures are anomalous,
         otherwise the top-k membership check runs on the stream's
@@ -536,6 +566,11 @@ class TimeSeriesDetector:
             raise ValueError(
                 f"{len(codes_batch)} packages given for {batch} streams"
             )
+        ids = np.asarray(signature_ids, dtype=np.int64)
+        if ids.shape != (batch,):
+            raise ValueError(
+                f"signature_ids must have shape ({batch},), got {ids.shape}"
+            )
         if forced_anomalous is None:
             forced_anomalous = np.zeros(batch, dtype=bool)
         else:
@@ -548,19 +583,10 @@ class TimeSeriesDetector:
         if batch == 0:
             return np.zeros(0, dtype=bool), state
 
-        ids = np.array(
-            [
-                -1
-                if (i := self.vocabulary.id_of(signature_of(codes))) is None
-                else i
-                for codes in codes_batch
-            ],
-            dtype=np.int64,
-        )
-        verdicts = forced_anomalous.copy()
-        judged = ~forced_anomalous & state.has_probs
-        verdicts |= judged & (ids < 0)
-        check = judged & (ids >= 0)
+        # Forced rows and judged out-of-vocabulary rows are anomalous;
+        # the remaining judged rows take the top-k check.
+        verdicts = forced_anomalous | (state.has_probs & (ids < 0))
+        check = state.has_probs & ~verdicts
         if check.any():
             sets = top_k_sets(state.last_probs[check], self.k)
             verdicts[check] = ~(sets == ids[check, None]).any(axis=1)

@@ -8,16 +8,17 @@ import numpy as np
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid ``σ(x) = 1 / (1 + exp(-x))``, overflow-safe.
 
-    Uses the piecewise formulation so ``exp`` is only ever taken of
-    non-positive arguments.
+    One pass over the whole array: with ``e = exp(-|x|)`` (so ``exp`` is
+    only ever taken of non-positive arguments) the result is
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere.
+    Exactness contract: bitwise equal, for every non-NaN float64, to the
+    piecewise form that evaluates ``1 / (1 + exp(-x))`` and
+    ``exp(x) / (1 + exp(x))`` on the two masked halves separately
+    (``-|x|`` is exactly ``-x`` or ``x``, and ``-0.0`` takes the
+    ``x >= 0`` branch in both); a NaN input gives NaN.
     """
-    out = np.empty_like(x, dtype=np.float64)
-    positive = x >= 0
-    negative = ~positive
-    out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
-    exp_x = np.exp(x[negative])
-    out[negative] = exp_x / (1.0 + exp_x)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid_grad(y: np.ndarray) -> np.ndarray:

@@ -65,23 +65,33 @@ class LSTMState:
         ]
 
     def select(self, indices: Sequence[int] | np.ndarray) -> "LSTMState":
-        """Row subset (used to compact detached streams out of a batch)."""
-        idx = np.asarray(indices, dtype=np.int64)
-        return LSTMState(self.h[idx].copy(), self.c[idx].copy())
+        """Row subset (used to compact detached streams out of a batch).
 
-    def replace_rows(
+        Integer-array indexing always copies, so the subset never
+        aliases this state.
+        """
+        idx = np.asarray(indices, dtype=np.int64)
+        return LSTMState(self.h[idx], self.c[idx])
+
+    def set_rows(
         self, indices: Sequence[int] | np.ndarray, other: "LSTMState"
-    ) -> "LSTMState":
-        """Copy with ``other``'s rows scattered into positions ``indices``."""
+    ) -> None:
+        """Scatter ``other``'s rows into positions ``indices``, in place."""
         idx = np.asarray(indices, dtype=np.int64)
         if idx.size != other.batch_size:
             raise ValueError(
                 f"{idx.size} indices given for {other.batch_size} replacement rows"
             )
-        h, c = self.h.copy(), self.c.copy()
-        h[idx] = other.h
-        c[idx] = other.c
-        return LSTMState(h, c)
+        self.h[idx] = other.h
+        self.c[idx] = other.c
+
+    def replace_rows(
+        self, indices: Sequence[int] | np.ndarray, other: "LSTMState"
+    ) -> "LSTMState":
+        """Copy with ``other``'s rows scattered into positions ``indices``."""
+        merged = self.copy()
+        merged.set_rows(indices, other)
+        return merged
 
 
 class _ForwardCache:
@@ -188,9 +198,10 @@ class LSTMLayer:
         c_prev = state.c
         for t in range(timesteps):
             z = z_input[t] + h_prev @ recurrent + bias
-            gate_i[t] = sigmoid(z[:, :hidden])
-            gate_f[t] = sigmoid(z[:, hidden : 2 * hidden])
-            gate_o[t] = sigmoid(z[:, 2 * hidden : 3 * hidden])
+            gates = sigmoid(z[:, : 3 * hidden])
+            gate_i[t] = gates[:, :hidden]
+            gate_f[t] = gates[:, hidden : 2 * hidden]
+            gate_o[t] = gates[:, 2 * hidden :]
             gate_g[t] = tanh(z[:, 3 * hidden :])
             cells[t] = gate_f[t] * c_prev + gate_i[t] * gate_g[t]
             tanh_cells[t] = tanh(cells[t])
@@ -219,13 +230,17 @@ class LSTMLayer:
         """Single online timestep for streaming detection.
 
         ``x_t`` has shape ``(B, D)``; returns ``(h_t, new_state)`` without
-        caching anything for backprop.
+        caching anything for backprop.  One :func:`sigmoid` call covers
+        the fused ``i | f | o`` block; sigmoid is elementwise and exact
+        under that fusion, so the state is bitwise what three per-gate
+        calls give.
         """
         hidden = self.hidden_size
         z = x_t @ self.params["W"] + state.h @ self.params["U"] + self.params["b"]
-        i = sigmoid(z[:, :hidden])
-        f = sigmoid(z[:, hidden : 2 * hidden])
-        o = sigmoid(z[:, 2 * hidden : 3 * hidden])
+        gates = sigmoid(z[:, : 3 * hidden])
+        i = gates[:, :hidden]
+        f = gates[:, hidden : 2 * hidden]
+        o = gates[:, 2 * hidden :]
         g = tanh(z[:, 3 * hidden :])
         c = f * state.c + i * g
         h = o * tanh(c)

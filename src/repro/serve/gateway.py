@@ -1150,17 +1150,23 @@ class DetectionGateway:
                 raise ProtocolViolation(str(exc)) from exc
             scenario, version = entry.scenario, entry.version
         # Least-loaded shard (ties to the lowest index) keeps the
-        # per-tick batches balanced as keys come and go.
+        # per-tick batches balanced as keys come and go.  The shard is
+        # reserved before the ATTACH await, so OPENs binding concurrently
+        # see each other's choice; a failed ATTACH gives it back.
         shard = min(self._shards, key=lambda s: (s.bound_streams, s.index))
-        if shard.client is None:
-            engine = shard.engine_for((scenario, version))
-            stream_id = engine.attach()
-        else:
-            future = shard.client.submit(
-                encode_attach(pool_label(scenario, version))
-            )
-            stream_id = decode_attach(await asyncio.wrap_future(future))
         shard.bound_streams += 1
+        try:
+            if shard.client is None:
+                engine = shard.engine_for((scenario, version))
+                stream_id = engine.attach()
+            else:
+                future = shard.client.submit(
+                    encode_attach(pool_label(scenario, version))
+                )
+                stream_id = decode_attach(await asyncio.wrap_future(future))
+        except BaseException:
+            shard.bound_streams -= 1
+            raise
         route = _Route(shard.index, scenario, version, stream_id, protocol=protocol)
         self._bindings[key] = route
         return route

@@ -106,18 +106,3 @@ class TestSerialization:
         assert all(k in restored for k in keys)
         assert restored.num_bits == bloom.num_bits
         assert len(restored) == len(bloom)
-
-
-class TestContainsMany:
-    def test_matches_scalar_lookups(self):
-        bloom = BloomFilter.for_capacity(200, 0.01)
-        members = [f"sig{i}" for i in range(100)]
-        bloom.update(members)
-        probes = members[:10] + [f"other{i}" for i in range(20)]
-        batched = bloom.contains_many(probes)
-        assert batched.dtype == bool
-        np.testing.assert_array_equal(batched, [key in bloom for key in probes])
-
-    def test_empty_batch(self):
-        bloom = BloomFilter.for_capacity(10, 0.01)
-        assert bloom.contains_many([]).shape == (0,)

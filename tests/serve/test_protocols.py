@@ -64,9 +64,31 @@ def make_package(**overrides) -> Package:
     return Package(**base)
 
 
+def crc16_dnp_bitwise(data: bytes) -> int:
+    """Reference CRC-16/DNP: eight shift-and-xor steps per byte."""
+    crc = 0x0000
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xA6BC if crc & 1 else crc >> 1
+    return crc ^ 0xFFFF
+
+
 class TestCrc16Dnp:
     def test_standard_check_value(self):
         assert crc16_dnp(b"123456789") == 0xEA82
+        assert crc16_dnp_bitwise(b"123456789") == 0xEA82
+
+    @settings(max_examples=500)
+    @given(st.binary(max_size=300))
+    def test_table_matches_bit_loop(self, data):
+        assert crc16_dnp(data) == crc16_dnp_bitwise(data)
+
+    def test_table_matches_bit_loop_on_every_byte(self):
+        for value in range(256):
+            for prefix in (b"", b"\x00", b"\xff\x64"):
+                data = prefix + bytes([value])
+                assert crc16_dnp(data) == crc16_dnp_bitwise(data)
 
     def test_detects_any_single_bit_flip(self):
         data = bytearray(b"\x00\x01\x02\x03hello")

@@ -9,6 +9,7 @@ either mode's checkpoint), hot-swaps and tiny-queue backpressure.
 
 from __future__ import annotations
 
+import socket
 import threading
 import time
 
@@ -18,7 +19,13 @@ import pytest
 from repro.registry import ModelRegistry
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient
-from repro.serve.transport import encode_stream_data
+from repro.serve.transport import (
+    KIND_OPEN_ACK,
+    MbapDecoder,
+    encode_open,
+    encode_stream_data,
+    wrap_pdu,
+)
 from repro.serve.workers import (
     OP_SNAPSHOT,
     OP_STATS,
@@ -209,6 +216,36 @@ class TestProcessGateway:
                 assert np.array_equal(results[i].levels, expected[i].level)
             assert handle.stats()["processed"] == sum(len(s) for s in slices)
         finally:
+            handle.stop()
+
+    def test_concurrent_opens_bind_to_different_shards(self, detector):
+        """Two OPENs that race the ATTACH round trip still spread out.
+
+        Both frames are on the wire before the gateway answers either,
+        so the second OPEN picks its shard while the first one's ATTACH
+        is still in flight to its worker.
+        """
+        handle = process_gateway(detector, num_shards=2)
+        sockets = []
+        try:
+            sockets = [
+                socket.create_connection(handle.address, 10.0) for _ in range(2)
+            ]
+            for number, sock in enumerate(sockets):
+                sock.sendall(wrap_pdu(encode_open(f"race-{number}"), 1))
+            for sock in sockets:
+                sock.settimeout(10.0)
+                decoder, frames = MbapDecoder(), []
+                while not frames:
+                    data = sock.recv(65536)
+                    assert data, "gateway closed before OPEN_ACK"
+                    frames = decoder.feed(data)
+                assert frames[0].kind == KIND_OPEN_ACK
+            routes = handle.stats()["routes"]
+            assert {routes[f"race-{n}"]["shard"] for n in range(2)} == {0, 1}
+        finally:
+            for sock in sockets:
+                sock.close()
             handle.stop()
 
     def test_kill_and_resume_is_bit_identical(
