@@ -20,17 +20,18 @@ Run:  REPRO_PROFILE=ci pytest benchmarks/bench_incidents.py -s
 
 from __future__ import annotations
 
-import threading
 import time
 
-from benchmarks.conftest import emit_json, emit_report
-from repro.core.combined import CombinedDetector, DetectorConfig
-from repro.core.timeseries_detector import TimeSeriesDetectorConfig
-from repro.ics.dataset import DatasetConfig, generate_dataset
+from benchmarks.conftest import (
+    drive_replay,
+    emit_json,
+    emit_report,
+    overhead_gate,
+    train_overhead_workload,
+)
 from repro.obs.incidents import CorrelatorConfig, IncidentCorrelator
 from repro.serve.alerts import Alert, AlertConfig, AlertPipeline, Severity
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
-from repro.serve.replay import ReplayClient
 
 #: The incident plane may cost at most this fraction of bare pkg/s.
 MAX_OVERHEAD = 0.05
@@ -115,53 +116,12 @@ def test_correlator_storm_throughput(profile):
     assert rate > 20_000, results
 
 
-def _train(profile):
-    *_, clients, per_client, repeats = _sizes(profile)
-    dataset = generate_dataset(DatasetConfig(num_cycles=900), seed=7)
-    detector, _ = CombinedDetector.train(
-        dataset.train_fragments,
-        dataset.validation_fragments,
-        DetectorConfig(
-            timeseries=TimeSeriesDetectorConfig(hidden_sizes=(24,), epochs=1)
-        ),
-        rng=7,
-    )
-    packages = dataset.test_packages
-    slices = [
-        [packages[(i * 53 + t) % len(packages)] for t in range(per_client)]
-        for i in range(clients)
-    ]
-    return detector, slices, repeats
-
-
-def _drive(handle, slices):
-    host, port = handle.address
-    results = [None] * len(slices)
-
-    def run(i):
-        results[i] = ReplayClient(
-            host, port, stream_key=f"bench-{i}", window=64
-        ).replay(slices[i])
-
-    threads = [
-        threading.Thread(target=run, args=(i,)) for i in range(len(slices))
-    ]
-    started = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - started
-    assert all(r is not None and r.complete for r in results)
-    verdicts = [(r.anomalies.tolist(), r.levels.tolist()) for r in results]
-    return verdicts, elapsed
-
-
 def test_incident_plane_overhead(profile):
-    detector, slices, repeats = _train(profile)
+    *_, clients, per_client, repeats = _sizes(profile)
+    detector, slices = train_overhead_workload(clients, per_client)
     total = sum(len(s) for s in slices)
 
-    def run_once(with_plane):
+    def run_once(with_plane, tag):
         gateway = DetectionGateway(
             detector,
             GatewayConfig(num_shards=2, max_pending=512),
@@ -171,7 +131,7 @@ def test_incident_plane_overhead(profile):
         )
         handle = start_in_thread(None, gateway=gateway)
         try:
-            verdicts, elapsed = _drive(handle, slices)
+            verdicts, elapsed = drive_replay(handle, slices)
             assert handle.stats()["processed"] == total
         finally:
             handle.stop()
@@ -183,42 +143,10 @@ def test_incident_plane_overhead(profile):
             ) == total
         return verdicts, total / elapsed
 
-    reference, _ = run_once(False)  # discard: cold caches
-
-    bare, instrumented, ratios = [], [], []
-
-    def run_round():
-        for repeat in range(repeats):
-            # Back-to-back pairs in alternating order: each pair shares
-            # one noise window, so the per-pair ratio cancels machine
-            # drift the absolute rates cannot.
-            order = (False, True) if repeat % 2 == 0 else (True, False)
-            pair = {}
-            for with_plane in order:
-                verdicts, pps = run_once(with_plane)
-                assert verdicts == reference, (
-                    "the incident plane changed verdicts — it must be "
-                    "a pure observer"
-                )
-                (instrumented if with_plane else bare).append(pps)
-                pair[with_plane] = pps
-            ratios.append(pair[True] / pair[False])
-
-    def estimate():
-        # Same two-estimator gate as the historian bench: noise only
-        # lowers single samples, so peak-vs-peak and the median paired
-        # ratio both converge on the true cost — take the kinder one.
-        ordered = sorted(ratios)
-        paired = 1.0 - ordered[len(ordered) // 2]
-        peak = 1.0 - max(instrumented) / max(bare)
-        return peak, paired, min(peak, paired)
-
-    overhead_peak = overhead_paired = overhead = 1.0
-    for _ in range(3):
-        run_round()
-        overhead_peak, overhead_paired, overhead = estimate()
-        if overhead <= MAX_OVERHEAD:
-            break
+    gate = overhead_gate(run_once, repeats, MAX_OVERHEAD, "the incident plane")
+    bare, instrumented = gate["bare"], gate["instrumented"]
+    overhead_peak, overhead_paired = gate["peak"], gate["paired"]
+    overhead = gate["overhead"]
     results = {
         "profile": profile,
         "packages": total,
@@ -227,7 +155,7 @@ def test_incident_plane_overhead(profile):
         "instrumented_pkg_per_sec": instrumented,
         "best_bare": max(bare),
         "best_instrumented": max(instrumented),
-        "paired_ratios": ratios,
+        "paired_ratios": gate["ratios"],
         "overhead_peak": overhead_peak,
         "overhead_paired": overhead_paired,
         "overhead_fraction": overhead,

@@ -13,16 +13,15 @@ Run:  REPRO_PROFILE=ci pytest benchmarks/bench_tracing.py -s
 
 from __future__ import annotations
 
-import threading
-import time
-
-from benchmarks.conftest import emit_json, emit_report
-from repro.core.combined import CombinedDetector, DetectorConfig
-from repro.core.timeseries_detector import TimeSeriesDetectorConfig
-from repro.ics.dataset import DatasetConfig, generate_dataset
+from benchmarks.conftest import (
+    drive_replay,
+    emit_json,
+    emit_report,
+    overhead_gate,
+    train_overhead_workload,
+)
 from repro.obs import MetricsRegistry, TraceConfig, Tracer
 from repro.serve.gateway import GatewayConfig, start_in_thread
-from repro.serve.replay import ReplayClient
 
 #: Traced serving may cost at most this fraction of bare pkg/s.
 MAX_OVERHEAD = 0.05
@@ -39,54 +38,13 @@ def _sizes(profile):
     return SIZES.get(profile, SIZES["default"])
 
 
-def _train(profile):
-    clients, per_client, repeats = _sizes(profile)
-    dataset = generate_dataset(DatasetConfig(num_cycles=900), seed=7)
-    detector, _ = CombinedDetector.train(
-        dataset.train_fragments,
-        dataset.validation_fragments,
-        DetectorConfig(
-            timeseries=TimeSeriesDetectorConfig(hidden_sizes=(24,), epochs=1)
-        ),
-        rng=7,
-    )
-    packages = dataset.test_packages
-    slices = [
-        [packages[(i * 53 + t) % len(packages)] for t in range(per_client)]
-        for i in range(clients)
-    ]
-    return detector, slices, repeats
-
-
-def _drive(handle, slices):
-    host, port = handle.address
-    results = [None] * len(slices)
-
-    def run(i):
-        results[i] = ReplayClient(
-            host, port, stream_key=f"bench-{i}", window=64
-        ).replay(slices[i])
-
-    threads = [
-        threading.Thread(target=run, args=(i,)) for i in range(len(slices))
-    ]
-    started = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    elapsed = time.perf_counter() - started
-    assert all(r is not None and r.complete for r in results)
-    verdicts = [(r.anomalies.tolist(), r.levels.tolist()) for r in results]
-    return verdicts, elapsed
-
-
 def test_tracing_overhead(profile):
-    detector, slices, repeats = _train(profile)
+    clients, per_client, repeats = _sizes(profile)
+    detector, slices = train_overhead_workload(clients, per_client)
     total = sum(len(s) for s in slices)
     config = TraceConfig()  # default sampling: what users actually pay
 
-    def run_once(traced):
+    def run_once(traced, tag):
         tracer = None
         if traced:
             tracer = Tracer(config, metrics=MetricsRegistry())
@@ -96,7 +54,7 @@ def test_tracing_overhead(profile):
             tracer=tracer,
         )
         try:
-            verdicts, elapsed = _drive(handle, slices)
+            verdicts, elapsed = drive_replay(handle, slices)
             assert handle.stats()["processed"] == total
         finally:
             handle.stop()
@@ -107,47 +65,10 @@ def test_tracing_overhead(profile):
             tracer.close()
         return verdicts, total / elapsed
 
-    reference, _ = run_once(False)  # discard: cold caches
-
-    bare, traced, ratios = [], [], []
-
-    def run_round():
-        for repeat in range(repeats):
-            # Back-to-back pairs in alternating order: each pair shares
-            # one noise window, so the per-pair ratio cancels machine
-            # drift the absolute rates cannot.
-            order = (False, True) if repeat % 2 == 0 else (True, False)
-            pair = {}
-            for with_tracing in order:
-                verdicts, pps = run_once(with_tracing)
-                assert verdicts == reference, (
-                    "tracing changed verdicts — it must be a pure observer"
-                )
-                (traced if with_tracing else bare).append(pps)
-                pair[with_tracing] = pps
-            ratios.append(pair[True] / pair[False])
-
-    def estimate():
-        # Two estimators, both of which converge on the true cost as
-        # samples grow while run-to-run noise only *lowers* single
-        # samples: peak-vs-peak and the median paired ratio.  A real
-        # regression moves both; noise rarely moves both the same way,
-        # so the gate takes the kinder estimate.
-        ordered = sorted(ratios)
-        paired = 1.0 - ordered[len(ordered) // 2]
-        peak = 1.0 - max(traced) / max(bare)
-        return peak, paired, min(peak, paired)
-
-    # Shared-machine noise here dwarfs a 5% signal on any single round;
-    # escalate with more rounds until the estimate clears the gate or
-    # stays bad three rounds running (a real regression is consistent,
-    # a noise phase is not).
-    overhead_peak = overhead_paired = overhead = 1.0
-    for _ in range(3):
-        run_round()
-        overhead_peak, overhead_paired, overhead = estimate()
-        if overhead <= MAX_OVERHEAD:
-            break
+    gate = overhead_gate(run_once, repeats, MAX_OVERHEAD, "tracing")
+    bare, traced = gate["bare"], gate["instrumented"]
+    overhead_peak, overhead_paired = gate["peak"], gate["paired"]
+    overhead = gate["overhead"]
     results = {
         "profile": profile,
         "packages": total,
@@ -157,7 +78,7 @@ def test_tracing_overhead(profile):
         "traced_pkg_per_sec": traced,
         "best_bare": max(bare),
         "best_traced": max(traced),
-        "paired_ratios": ratios,
+        "paired_ratios": gate["ratios"],
         "overhead_peak": overhead_peak,
         "overhead_paired": overhead_paired,
         "overhead_fraction": overhead,

@@ -41,3 +41,122 @@ def emit_json(name: str, payload: dict) -> None:
 @pytest.fixture(scope="session")
 def profile() -> str:
     return profile_name()
+
+
+# ----------------------------------------------------------------------
+# overhead gates: an observability plane must cost at most a fraction of
+# bare serving throughput and must never change a verdict
+# ----------------------------------------------------------------------
+
+
+def train_overhead_workload(clients: int, per_client: int):
+    """The detector and per-client replay slices every overhead gate serves."""
+    from repro.core.combined import CombinedDetector, DetectorConfig
+    from repro.core.timeseries_detector import TimeSeriesDetectorConfig
+    from repro.ics.dataset import DatasetConfig, generate_dataset
+
+    dataset = generate_dataset(DatasetConfig(num_cycles=900), seed=7)
+    detector, _ = CombinedDetector.train(
+        dataset.train_fragments,
+        dataset.validation_fragments,
+        DetectorConfig(
+            timeseries=TimeSeriesDetectorConfig(hidden_sizes=(24,), epochs=1)
+        ),
+        rng=7,
+    )
+    packages = dataset.test_packages
+    slices = [
+        [packages[(i * 53 + t) % len(packages)] for t in range(per_client)]
+        for i in range(clients)
+    ]
+    return detector, slices
+
+
+def drive_replay(handle, slices):
+    """Replay every slice concurrently, one client per slice.
+
+    Returns the verdicts of every client and the wall-clock seconds.
+    """
+    import threading
+    import time
+
+    from repro.serve.replay import ReplayClient
+
+    host, port = handle.address
+    results = [None] * len(slices)
+
+    def run(i):
+        results[i] = ReplayClient(
+            host, port, stream_key=f"bench-{i}", window=64
+        ).replay(slices[i])
+
+    threads = [
+        threading.Thread(target=run, args=(i,)) for i in range(len(slices))
+    ]
+    started = time.perf_counter()
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    elapsed = time.perf_counter() - started
+    assert all(r is not None and r.complete for r in results)
+    verdicts = [(r.anomalies.tolist(), r.levels.tolist()) for r in results]
+    return verdicts, elapsed
+
+
+def overhead_gate(run_once, repeats: int, max_overhead: float, plane: str) -> dict:
+    """Estimate a plane's throughput overhead from interleaved pairs.
+
+    ``run_once(enabled, tag)`` serves the workload once with the plane
+    on or off and returns ``(verdicts, pkg_per_sec)``; ``tag`` is unique
+    per run.  A first, discarded run warms caches and fixes the
+    reference verdicts, which every later run must reproduce.
+
+    Returns the per-run rates (``bare``, ``instrumented``), the paired
+    ``ratios`` and the ``peak``, ``paired`` and gated ``overhead``
+    estimates.
+    """
+    reference, _ = run_once(False, "warmup")  # discard: cold caches
+    bare, instrumented, ratios = [], [], []
+    peak = paired = overhead = 1.0
+    # Shared-machine noise here dwarfs a 5% signal on any single round;
+    # escalate with more rounds until the estimate clears the gate or
+    # stays bad three rounds running (a real regression is consistent,
+    # a noise phase is not).
+    for round_tag in range(3):
+        for repeat in range(repeats):
+            # Back-to-back pairs in alternating order: each pair shares
+            # one noise window, so the per-pair ratio cancels machine
+            # drift the absolute rates cannot.
+            order = (False, True) if repeat % 2 == 0 else (True, False)
+            pair = {}
+            for enabled in order:
+                verdicts, pps = run_once(
+                    enabled, f"{'on' if enabled else 'off'}-{round_tag}-{repeat}"
+                )
+                assert verdicts == reference, (
+                    f"{plane} changed verdicts — it must be a pure observer"
+                )
+                (instrumented if enabled else bare).append(pps)
+                pair[enabled] = pps
+            ratios.append(pair[True] / pair[False])
+        # Two estimators, both of which converge on the true cost as
+        # samples grow while run-to-run noise only *lowers* single
+        # samples: peak-vs-peak (noise can't push a sample above
+        # machine capacity) and the median paired ratio.  A real
+        # regression moves both; noise rarely moves both the same way,
+        # so the gate takes the kinder estimate.
+        ordered = sorted(ratios)
+        paired = 1.0 - ordered[len(ordered) // 2]
+        peak = 1.0 - max(instrumented) / max(bare)
+        overhead = min(peak, paired)
+        if overhead <= max_overhead:
+            break
+    return {
+        "bare": bare,
+        "instrumented": instrumented,
+        "ratios": ratios,
+        "peak": peak,
+        "paired": paired,
+        "overhead": overhead,
+    }

@@ -16,12 +16,12 @@ Architecture
   least-loaded on first sight and sticky forever after — reconnects
   (including after a gateway restart from checkpoint) land on the same
   LSTM state.
-- Each shard owns a pool of engines — one per *model route* — and one
-  worker task.  Packages arriving on the shard's sessions accumulate in
-  its bounded queue; the worker drains the queue and advances all
-  waiting streams with **one batched LSTM step per engine per tick**,
-  so inference stays batched under load exactly like the offline
-  engine.
+- Each shard owns one :class:`~repro.serve.workers.EnginePool` — one
+  engine per *model route* — and one worker task.  Packages arriving on
+  the shard's sessions accumulate in its bounded queue; the worker
+  drains the queue and advances all waiting streams with **one batched
+  LSTM step per engine per tick**, so inference stays batched under
+  load exactly like the offline engine.
 - Backpressure is end-to-end: a full shard queue suspends that
   session's reader coroutine, which stops draining the socket, which
   fills the client's TCP window.  A client that stops *reading* its
@@ -31,13 +31,14 @@ Architecture
   order on a single engine row, verdicts per stream are independent of
   shard count, batch composition of any tick, and connection timing —
   batching changes wall-clock, never decisions.
-- ``GatewayConfig(worker_mode="process")`` moves each shard's engine
-  pool into its own OS worker process (:mod:`repro.serve.workers`):
-  batched feature rows cross a pickle-free pipe as fixed-layout binary
-  records and verdicts flow back to the async side, so shard compute
-  scales with cores instead of contending for one GIL.  The thread
-  mode stays the reference backend — verdicts, checkpoints, hot-swaps
-  and resume offsets are bit-identical between the two.
+- The gateway reaches every pool through one async interface, so each
+  behaviour — tick, hot-swap, checkpoint, stats — has one code path.
+  ``GatewayConfig(worker_mode="thread")`` awaits the pool directly on
+  the event loop; ``worker_mode="process"`` runs the same pool in its
+  own OS worker process behind a pickle-free byte codec
+  (:mod:`repro.serve.workers`), so shard compute leaves the loop's GIL.
+  Verdicts, checkpoints, hot-swaps and resume offsets are bit-identical
+  between the two.
 
 Heterogeneous serving
 ---------------------
@@ -73,7 +74,8 @@ from __future__ import annotations
 import asyncio
 import threading
 from collections import deque
-from dataclasses import asdict, dataclass, replace
+from contextlib import AsyncExitStack
+from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
@@ -86,7 +88,6 @@ from repro.persistence import (
     RouteBinding,
     load_gateway_checkpoint,
     load_routed_gateway_checkpoint,
-    route_label,
     save_gateway_checkpoint,
     save_routed_gateway_checkpoint,
 )
@@ -103,26 +104,17 @@ from repro.serve.transport import (
     KIND_ERROR,
     KIND_OPEN,
     TransportError,
-    encode_stream_data,
 )
 from repro.serve.workers import (
-    OP_SNAPSHOT,
-    OP_STATS,
     SINGLE_LABEL,
+    SINGLE_ROUTE,
     STATE_BLOB_KIND,
+    EnginePool,
+    Route,
     WorkerError,
     WorkerHandle,
-    decode_attach,
-    decode_seen,
-    decode_snapshot,
-    decode_stats,
-    decode_swap,
-    decode_verdicts,
-    encode_attach,
+    WorkerPool,
     encode_init,
-    encode_observe,
-    encode_seen,
-    encode_swap,
     pool_label,
     pool_route,
 )
@@ -137,9 +129,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.tracing import Tracer
     from repro.registry.store import ModelRegistry
 
-#: Route key of the lone engine pool slot in single-detector mode.
-_SINGLE_ROUTE: tuple[str | None, int | None] = (None, None)
-
 #: Stream id placeholder acked to untagged streams awaiting
 #: auto-identification (no engine row is assigned yet).
 PENDING_STREAM_ID = 0xFFFFFFFF
@@ -152,7 +141,7 @@ def _engine_stats_entry(raw: dict[str, Any]) -> dict[str, int]:
     gets the same dict JSON-round-tripped from the worker.  Pinning the
     key set and value type here keeps ``stats()`` schema-identical
     across worker modes (asserted by the cross-mode conformance test),
-    even for a pool slot the worker has not populated yet.
+    even for a shard whose pool reports no engine (a dead worker).
     """
     from dataclasses import fields as dataclass_fields
 
@@ -182,12 +171,11 @@ class GatewayConfig:
     max_packages: int | None = None  # stop serving after N packages (tests/CLI)
     registry_poll_seconds: float = 1.0  # registry mode: hot-swap poll; 0 = off
     protocols: tuple[str, ...] = ()  # accepted wire dialects; () = all
-    #: Shard compute backend.  ``"thread"`` runs engines inline on the
-    #: event loop (the reference backend: zero IPC, but every shard
-    #: contends for one GIL).  ``"process"`` moves each shard's engine
-    #: pool into its own OS worker process (see
-    #: :mod:`repro.serve.workers`) so shards scale with cores; verdicts
-    #: are bit-identical between the two.
+    #: Shard compute backend.  ``"thread"`` runs each shard's engine
+    #: pool inline on the event loop (zero IPC, but every shard contends
+    #: for one GIL).  ``"process"`` runs the same pool in its own OS
+    #: worker process (see :mod:`repro.serve.workers`), one pipe round
+    #: trip per tick; verdicts are bit-identical between the two.
     worker_mode: str = "thread"
 
     def validate(self) -> "GatewayConfig":
@@ -299,7 +287,7 @@ class _Shard:
     """One engine pool plus the worker that batches its streams' packages."""
 
     def __init__(self, gateway: "DetectionGateway", index: int,
-                 max_pending: int) -> None:
+                 max_pending: int, pool: EnginePool) -> None:
         self.gateway = gateway
         self.index = index
         metrics = gateway.metrics
@@ -327,60 +315,40 @@ class _Shard:
                 "Shard queue depth sampled at enqueue",
                 shard=label,
             )
-        #: model route -> engine; single-detector mode uses one pool
-        #: slot keyed ``(None, None)``.
-        self.engines: "dict[tuple[str | None, int | None], StreamEngine]" = {}
+        #: The shard's engines: in-process until a process-mode
+        #: :meth:`DetectionGateway.start` moves them into a worker.
+        self.pool: EnginePool | WorkerPool = pool
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
         self.bound_streams = 0
-        #: Process mode only: the shard's worker-process endpoint (set
-        #: at :meth:`DetectionGateway.start`, after which ``engines``
-        #: lives in the worker and the dict above stays empty).
-        self.client: WorkerHandle | None = None
-        #: Process mode only: serializes the read-routes-and-submit
-        #: window of a tick against route mutations (hot-swap) and
-        #: binding-table snapshots (checkpoint).  Pipe FIFO order then
-        #: guarantees the worker observes the same serialization.
+        #: Serializes a tick's route reads plus its pool call against
+        #: route mutations (hot-swap) and pool snapshots (checkpoint).
+        #: Thread-mode holders never yield, so there it is never
+        #: contended.
         self.lock = asyncio.Lock()
 
-    def engine_for(
-        self, route_key: tuple[str | None, int | None]
-    ) -> "StreamEngine":
-        """The pool engine for one model route, created on first use."""
-        engine = self.engines.get(route_key)
-        if engine is None:
-            engine = self.gateway._detector_for(route_key).engine(0)
-            self.engines[route_key] = engine
-        return engine
-
     @staticmethod
-    def _build_tick(pending: deque) -> tuple[dict, deque]:
+    def _build_tick(pending: deque) -> tuple[dict, int, deque]:
         """Pick one package per stream for this tick; surplus waits.
 
         One tick advances each stream by at most one package; extra
         packages of the same stream wait for the next tick, preserving
-        per-stream order.  Streams are keyed by (model route, engine
-        row): ids are only unique within one engine of the pool.
+        per-stream order.  The tick is grouped by engine — one batched
+        LSTM step per *model* — and streams are keyed by engine row
+        within their group, since ids are only unique within one
+        engine of the pool.
         """
-        tick: dict[tuple, tuple] = {}
+        groups: dict[Route, dict[int, tuple]] = {}
         leftover: deque = deque()
+        count = 0
         for item in pending:
             route = item[0].route
-            slot = (route.scenario, route.version, route.stream_id)
-            if slot in tick:
+            by_stream = groups.setdefault(route.route_key, {})
+            if route.stream_id in by_stream:
                 leftover.append(item)
             else:
-                tick[slot] = item
-        return tick, leftover
-
-    @staticmethod
-    def _group_tick(tick: dict) -> dict[tuple, dict[int, tuple]]:
-        """Group the tick by engine: heterogeneous shards run one
-        batched LSTM step per *model*, homogeneous shards degenerate to
-        exactly the old single-batch tick."""
-        groups: dict[tuple, dict[int, tuple]] = {}
-        for (scenario, version, stream_id), item in tick.items():
-            groups.setdefault((scenario, version), {})[stream_id] = item
-        return groups
+                by_stream[route.stream_id] = item
+                count += 1
+        return groups, count, leftover
 
     async def run(self) -> None:
         """Drain the queue forever, one batched tick at a time."""
@@ -393,116 +361,46 @@ class _Shard:
                     break
             pending = deque(items)
             while pending:
-                if self.client is None:
-                    pending = self._tick_inline(pending)
-                else:
-                    pending = await self._tick_process(pending)
+                pending = await self._tick(pending)
 
-    def _tick_inline(self, pending: deque) -> deque:
-        """One tick on the in-process (thread-mode) engine pool."""
+    async def _tick(self, pending: deque) -> deque:
+        """One batched engine step for every stream waiting in ``pending``."""
+        gateway = self.gateway
         started = perf_counter() if self._t_tick is not None else 0.0
-        tick, leftover = self._build_tick(pending)
-        tracing = self.gateway.tracer is not None
-        if tracing:
-            now = perf_counter()
-            for item in tick.values():
-                if item[3] is not None:
-                    item[3].stages["queue"] = now - item[3].mark
-        outputs = []
-        for route_key, by_stream in self._group_tick(tick).items():
-            engine = self.engines[route_key]
-            batch = {
-                stream_id: item[2]
-                for stream_id, item in by_stream.items()
-            }
-            if tracing:
-                group_started = perf_counter()
-                verdicts, levels = engine.observe_batch(batch)
-                group_seconds = perf_counter() - group_started
+        traced = gateway.tracer is not None
+        async with self.lock:
+            groups, count, leftover = self._build_tick(pending)
+            if traced:
+                now = perf_counter()
+                for by_stream in groups.values():
+                    for item in by_stream.values():
+                        if item[3] is not None:
+                            item[3].stages["queue"] = now - item[3].mark
+            results, stages = await self.pool.observe(
+                [
+                    (route, {sid: item[2] for sid, item in by_stream.items()})
+                    for route, by_stream in groups.items()
+                ],
+                traced,
+            )
+        if stages is not None:
+            for by_stream, stage in zip(groups.values(), stages):
                 for item in by_stream.values():
                     if item[3] is not None:
-                        item[3].stages["tick"] = group_seconds
-            else:
-                verdicts, levels = engine.observe_batch(batch)
-            outputs.append((list(by_stream.values()), verdicts, levels))
+                        item[3].stages.update(stage)
         # Account (and maybe checkpoint) before delivery: a write can
         # flush to the socket synchronously, so this ordering
         # guarantees a client can never observe a verdict the gateway's
-        # own counters don't cover yet.  Checkpoints land between
-        # ticks, where every stream's state and seen-count are mutually
-        # consistent.
-        self.gateway._after_work(len(tick))
-        for items_out, verdicts, levels in outputs:
-            self.gateway._deliver(items_out, verdicts, levels)
+        # own counters don't cover yet.  The checkpoint runs after this
+        # shard's lock is released, because it takes every shard lock.
+        gateway._after_work(count)
+        if gateway._checkpoint_due():
+            await gateway._checkpoint()
+        for by_stream, (verdicts, levels) in zip(groups.values(), results):
+            gateway._deliver(list(by_stream.values()), verdicts, levels)
         if self._t_tick is not None:
             self._t_tick.observe(perf_counter() - started)
-            self._h_batch.observe(len(tick))
-        return leftover
-
-    async def _tick_process(self, pending: deque) -> deque:
-        """One tick round-tripped through the shard's worker process.
-
-        The lock covers route reads *and* request submission, so a
-        hot-swap (which holds the same lock while it mutates routes)
-        can never interleave: worker-side, this tick's rows land either
-        entirely before or entirely after the swap's re-attach ops.
-        The response is awaited outside the lock — the worker is
-        already committed to FIFO order by then.
-        """
-        client = self.client
-        assert client is not None
-        started = perf_counter() if self._t_tick is not None else 0.0
-        tracing = self.gateway.tracer is not None
-        async with self.lock:
-            tick, leftover = self._build_tick(pending)
-            wire: list[tuple[str, list[tuple[int, bytes]]]] = []
-            flat_items: list[tuple] = []
-            group_sizes: list[int] = []
-            for route_key, by_stream in self._group_tick(tick).items():
-                rows = []
-                for stream_id, item in by_stream.items():
-                    rows.append((stream_id, encode_stream_data(item[2], 0)))
-                    flat_items.append(item)
-                group_sizes.append(len(rows))
-                wire.append((pool_label(*route_key), rows))
-            submitted = 0.0
-            if tracing:
-                submitted = perf_counter()
-                for item in flat_items:
-                    if item[3] is not None:
-                        item[3].stages["queue"] = submitted - item[3].mark
-            future = client.submit(encode_observe(wire))
-        results, group_seconds = decode_verdicts(
-            await asyncio.wrap_future(future), len(flat_items)
-        )
-        if tracing:
-            # The worker reports its per-group engine seconds; whatever
-            # the round-trip spent beyond total compute is pipe/framing
-            # overhead, shared by every row of this request.
-            pipe = max(
-                0.0, perf_counter() - submitted - sum(group_seconds)
-            )
-            index = 0
-            for group, size in enumerate(group_sizes):
-                for _ in range(size):
-                    span = flat_items[index][3]
-                    if span is not None:
-                        span.stages["worker"] = group_seconds[group]
-                        span.stages["pipe"] = pipe
-                    index += 1
-        # Same account-then-deliver ordering as the inline tick;
-        # periodic checkpoints gather worker snapshots between ticks.
-        self.gateway._after_work(len(tick), checkpoint=False)
-        if self.gateway._checkpoint_due():
-            await self.gateway._checkpoint_process()
-        self.gateway._deliver(
-            flat_items,
-            [verdict for verdict, _ in results],
-            [level for _, level in results],
-        )
-        if self._t_tick is not None:
-            self._t_tick.observe(perf_counter() - started)
-            self._h_batch.observe(len(tick))
+            self._h_batch.observe(count)
         return leftover
 
 
@@ -529,10 +427,8 @@ class DetectionGateway:
         incidents: "IncidentCorrelator | bool | None" = None,
         monitors: "DriftMonitorBank | bool | None" = None,
         tracer: "Tracer | None" = None,
-        _engines: "list[StreamEngine] | None" = None,
-        _bindings: dict[str, tuple[int, int]] | None = None,
-        _routed_shards: "list[dict[tuple[str, int], StreamEngine]] | None" = None,
-        _routed_bindings: dict[str, RouteBinding] | None = None,
+        _pools: "list[dict[Route, StreamEngine]] | None" = None,
+        _routes: "dict[str, _Route] | None" = None,
     ) -> None:
         self.config = (config or GatewayConfig()).validate()
         if router is None and registry is not None:
@@ -592,51 +488,27 @@ class DetectionGateway:
         #: Mirror of transport counters as metrics, keyed by dialect.
         self._m_transport: dict[str, dict[str, Any]] = {}
         self._peak_queue_depth = 0
+        if _pools is None:
+            # A single-detector pool always holds its one slot, so every
+            # shard has an engine to checkpoint even before any stream.
+            _pools = [
+                {SINGLE_ROUTE: detector.engine(0)} if router is None else {}
+                for _ in range(self.config.num_shards)
+            ]
+        elif len(_pools) != self.config.num_shards:
+            raise ValueError(
+                f"{len(_pools)} restored shards for config.num_shards="
+                f"{self.config.num_shards}"
+            )
         self._shards = [
-            _Shard(self, i, self.config.max_pending)
-            for i in range(self.config.num_shards)
+            _Shard(
+                self, i, self.config.max_pending,
+                EnginePool(self._detector_for, engines),
+            )
+            for i, engines in enumerate(_pools)
         ]
         #: stream key -> live route; sticky across reconnects.
-        self._bindings: dict[str, _Route] = {}
-        if router is None:
-            if _routed_shards is not None or _routed_bindings is not None:
-                raise ValueError("routed state requires registry=/router=")
-            if _engines is None:
-                assert detector is not None
-                _engines = [
-                    detector.engine(0) for _ in range(self.config.num_shards)
-                ]
-            elif len(_engines) != self.config.num_shards:
-                raise ValueError(
-                    f"{len(_engines)} restored shards for config.num_shards="
-                    f"{self.config.num_shards}"
-                )
-            for shard, engine in zip(self._shards, _engines):
-                shard.engines[_SINGLE_ROUTE] = engine
-            for key, (shard_index, stream_id) in (_bindings or {}).items():
-                self._bindings[key] = _Route(shard_index, None, None, stream_id)
-        else:
-            if _engines is not None or _bindings is not None:
-                raise ValueError(
-                    "single-detector state cannot restore a routed gateway"
-                )
-            if _routed_shards is not None:
-                if len(_routed_shards) != self.config.num_shards:
-                    raise ValueError(
-                        f"{len(_routed_shards)} restored shards for "
-                        f"config.num_shards={self.config.num_shards}"
-                    )
-                for shard, pool in zip(self._shards, _routed_shards):
-                    shard.engines.update(pool)
-            for key, binding in (_routed_bindings or {}).items():
-                self._bindings[key] = _Route(
-                    binding.shard,
-                    binding.scenario,
-                    binding.version,
-                    binding.stream_id,
-                    binding.seq_base,
-                    protocol=binding.protocol,
-                )
+        self._bindings: dict[str, _Route] = dict(_routes or {})
         for route in self._bindings.values():
             self._shards[route.shard].bound_streams += 1
         self._live: dict[str, _Session] = {}
@@ -658,12 +530,13 @@ class DetectionGateway:
         self._abstained = 0
         self._done = asyncio.Event()
         self._stopped = False
-        #: Process mode: serializes checkpoint writers (any shard's
-        #: tick may trigger one) and re-checks dueness under the lock.
+        #: Serializes checkpoint writers (any shard's tick may trigger
+        #: one) and re-checks dueness under the lock.
         self._checkpoint_lock = asyncio.Lock()
-        #: Process mode: final per-shard worker stats, cached at stop
-        #: so ``stats()`` keeps answering after the workers are gone.
-        self._final_worker_stats: list[dict[str, Any]] | None = None
+        #: Hot-swaps requested before start(): scenario -> version.
+        self._early_swaps: dict[str, int] = {}
+        #: Running hot-swap tasks (the loop only holds tasks weakly).
+        self._swap_tasks: set[asyncio.Task] = set()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -696,8 +569,7 @@ class DetectionGateway:
         constructor (pass ``False`` to keep a plane disabled on resume —
         checkpoint meta for a disabled plane is ignored, not lost).
         """
-        meta = read_meta(path)
-        kind = meta["kind"]
+        kind = read_meta(path)["kind"]
         if kind == ROUTED_GATEWAY_KIND:
             if router is None and registry is not None:
                 router = ScenarioRouter(registry)
@@ -707,58 +579,63 @@ class DetectionGateway:
                     "(or router=) so its model routes can be resolved"
                 )
             restored = load_routed_gateway_checkpoint(path, router.load)
-            config = replace(
-                config or GatewayConfig(), num_shards=len(restored.shards)
-            )
-            gateway = cls(
-                config=config,
-                alerts=alerts,
-                router=router,
-                metrics=metrics,
-                historian=historian,
-                incidents=incidents,
-                monitors=monitors,
-                tracer=tracer,
-                _routed_shards=restored.shards,
-                _routed_bindings=restored.bindings,
-            )
-            gateway._restore_transport_stats(restored.meta)
-            gateway._restore_obs_state(restored.meta)
-            return gateway
-        if registry is not None or router is not None:
-            # A single-detector checkpoint cannot come up as a routed
-            # gateway: refusing beats silently serving one embedded
-            # model to an operator who asked for registry routing.
-            raise ValueError(
-                f"{path} is a single-detector checkpoint ({kind}); it cannot "
-                "resume under registry=/router= — resume it with detector= "
-                "(or start a fresh registry gateway)"
-            )
-        restored = load_gateway_checkpoint(path, detector)
-        config = replace(
-            config or GatewayConfig(), num_shards=len(restored.engines)
-        )
+            detector, meta = None, restored.meta
+            pools = restored.shards
+            routes = {
+                key: _Route(
+                    binding.shard,
+                    binding.scenario,
+                    binding.version,
+                    binding.stream_id,
+                    binding.seq_base,
+                    protocol=binding.protocol,
+                )
+                for key, binding in restored.bindings.items()
+            }
+        else:
+            if registry is not None or router is not None:
+                # A single-detector checkpoint cannot come up as a routed
+                # gateway: refusing beats silently serving one embedded
+                # model to an operator who asked for registry routing.
+                raise ValueError(
+                    f"{path} is a single-detector checkpoint ({kind}); it "
+                    "cannot resume under registry=/router= — resume it with "
+                    "detector= (or start a fresh registry gateway)"
+                )
+            single = load_gateway_checkpoint(path, detector)
+            detector, meta = single.detector, single.meta
+            pools = [{SINGLE_ROUTE: engine} for engine in single.engines]
+            # The single-detector binding table has no protocol column;
+            # the per-stream dialect rides the checkpoint meta instead.
+            protocols = meta.get("routes") or {}
+            routes = {
+                key: _Route(
+                    shard,
+                    None,
+                    None,
+                    stream_id,
+                    protocol=str(
+                        protocols.get(key, {}).get("protocol") or "modbus"
+                    ),
+                )
+                for key, (shard, stream_id) in single.bindings.items()
+            }
         gateway = cls(
-            restored.detector,
-            config,
+            detector,
+            replace(config or GatewayConfig(), num_shards=len(pools)),
             alerts,
+            router=router,
             model_info=model_info,
             metrics=metrics,
             historian=historian,
             incidents=incidents,
             monitors=monitors,
             tracer=tracer,
-            _engines=restored.engines,
-            _bindings=restored.bindings,
+            _pools=pools,
+            _routes=routes,
         )
-        # The single-detector binding table has no protocol column; the
-        # per-stream dialect rides the checkpoint meta instead.
-        for key, entry in (restored.meta.get("routes") or {}).items():
-            route = gateway._bindings.get(key)
-            if route is not None and entry.get("protocol"):
-                route.protocol = str(entry["protocol"])
-        gateway._restore_transport_stats(restored.meta)
-        gateway._restore_obs_state(restored.meta)
+        gateway._restore_transport_stats(meta)
+        gateway._restore_obs_state(meta)
         return gateway
 
     def _obs_state_meta(self) -> dict[str, Any]:
@@ -789,17 +666,12 @@ class DetectionGateway:
                         if field in mirrors:
                             mirrors[field].inc(value)
 
-    def _process_active(self) -> bool:
-        """True once shard compute lives in worker processes."""
-        return self._shards[0].client is not None
-
     async def _start_worker_processes(self) -> None:
-        """Spawn one worker per shard and hand each its engine pool.
+        """Move each shard's engine pool into its own worker process.
 
-        The gateway always *constructs* its engines in-process (fresh
-        or checkpoint-restored) — at start they are serialized to the
-        workers and the in-main pool is dropped, so the pre-start sync
-        surface (``request_promote``, ``stats``) works unchanged.
+        The gateway always *constructs* its pools in-process (fresh or
+        checkpoint-restored); at start each pool's snapshot is shipped
+        to a worker, which rebuilds the same pool there.
         """
         if self._router is None:
             assert self.detector is not None
@@ -818,19 +690,14 @@ class DetectionGateway:
                 )
             detector_blob = None
             registry_root = str(root)
-        payloads = []
-        for shard in self._shards:
-            pool = {
-                pool_label(*route_key): engine.state_dict()
-                for route_key, engine in shard.engines.items()
-            }
-            payloads.append(
-                encode_init(
-                    detector_blob,
-                    registry_root,
-                    state_to_bytes(pool, kind=STATE_BLOB_KIND),
-                )
+        payloads = [
+            encode_init(
+                detector_blob,
+                registry_root,
+                state_to_bytes(await shard.pool.snapshot(), kind=STATE_BLOB_KIND),
             )
+            for shard in self._shards
+        ]
         handles: list[WorkerHandle] = []
         try:
             for shard in self._shards:
@@ -847,8 +714,7 @@ class DetectionGateway:
             )
             raise
         for shard, handle in zip(self._shards, handles):
-            shard.client = handle
-            shard.engines.clear()
+            shard.pool = WorkerPool(handle)
 
     async def start(self) -> None:
         """Bind the listening socket and launch the shard workers."""
@@ -856,6 +722,9 @@ class DetectionGateway:
             raise RuntimeError("gateway already started")
         loop = asyncio.get_running_loop()
         self._loop = loop
+        for scenario, version in self._early_swaps.items():
+            await self._apply_swap(scenario, version)
+        self._early_swaps.clear()
         if self.config.worker_mode == "process":
             await self._start_worker_processes()
         self._workers = [loop.create_task(shard.run()) for shard in self._shards]
@@ -886,7 +755,12 @@ class DetectionGateway:
         await self._done.wait()
 
     async def stop(self, checkpoint: bool = True) -> None:
-        """Graceful shutdown; ``checkpoint=False`` models a hard crash."""
+        """Graceful shutdown; ``checkpoint=False`` models a hard crash.
+
+        Every shard pool is closed, the alert pipeline closed and the
+        historian flushed even when the final checkpoint or a pool call
+        fails; the first such error is raised afterwards.
+        """
         if self._stopped:
             return
         self._stopped = True
@@ -896,46 +770,39 @@ class DetectionGateway:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        for worker in self._workers:
-            worker.cancel()
-        for worker in self._workers:
+        # A periodic checkpoint in flight finishes before the shard
+        # tasks are cancelled, so two writes never race on one file.
+        async with self._checkpoint_lock:
+            for worker in self._workers:
+                worker.cancel()
+            for worker in self._workers:
+                try:
+                    await worker
+                except (asyncio.CancelledError, Exception):
+                    pass
+            for session in list(self._live.values()):
+                try:
+                    session.writer.close()
+                except RuntimeError:
+                    pass
+            self._live.clear()
             try:
-                await worker
-            except (asyncio.CancelledError, Exception):
-                pass
-        for session in list(self._live.values()):
-            try:
-                session.writer.close()
-            except RuntimeError:
-                pass
-        self._live.clear()
-        if self._process_active():
-            try:
-                self._final_worker_stats = await self._gather_worker_stats()
-                if checkpoint and self.config.checkpoint_path:
-                    await self._write_checkpoint_process()
+                if checkpoint:
+                    await self._write_checkpoint()
             finally:
-                await asyncio.to_thread(self._close_worker_processes)
-        elif checkpoint and self.config.checkpoint_path:
-            self._write_checkpoint()
-        self.alerts.close()
-        if self.historian is not None:
-            # Flush (not close): the verdict log must be durable once
-            # the gateway is down, but the owner may keep querying it.
-            self.historian.flush()
-
-    async def _gather_worker_stats(self) -> list[dict[str, Any]]:
-        futures = [shard.client.submit(OP_STATS) for shard in self._shards]
-        return [
-            decode_stats(await asyncio.wrap_future(future))
-            for future in futures
-        ]
-
-    def _close_worker_processes(self) -> None:
-        for shard in self._shards:
-            if shard.client is not None:
-                shard.client.close()
-                shard.client = None
+                closed = await asyncio.gather(
+                    *(shard.pool.close() for shard in self._shards),
+                    return_exceptions=True,
+                )
+                self.alerts.close()
+                if self.historian is not None:
+                    # Flush (not close): the verdict log must be durable
+                    # once the gateway is down, but the owner may keep
+                    # querying it.
+                    self.historian.flush()
+        for outcome in closed:
+            if isinstance(outcome, BaseException):
+                raise outcome
 
     # ------------------------------------------------------------------
     # connection handling
@@ -1119,13 +986,8 @@ class DetectionGateway:
 
     async def _route_packages_seen(self, shard: _Shard, route: _Route) -> int:
         """Lifetime package count of one route's current engine row."""
-        if shard.client is None:
-            return shard.engines[route.route_key].packages_seen(route.stream_id)
         async with shard.lock:
-            future = shard.client.submit(
-                encode_seen(pool_label(*route.route_key), route.stream_id)
-            )
-        return decode_seen(await asyncio.wrap_future(future))
+            return await shard.pool.seen(route.route_key, route.stream_id)
 
     async def _bind(
         self,
@@ -1156,14 +1018,7 @@ class DetectionGateway:
         shard = min(self._shards, key=lambda s: (s.bound_streams, s.index))
         shard.bound_streams += 1
         try:
-            if shard.client is None:
-                engine = shard.engine_for((scenario, version))
-                stream_id = engine.attach()
-            else:
-                future = shard.client.submit(
-                    encode_attach(pool_label(scenario, version))
-                )
-                stream_id = decode_attach(await asyncio.wrap_future(future))
+            stream_id = await shard.pool.attach((scenario, version))
         except BaseException:
             shard.bound_streams -= 1
             raise
@@ -1267,9 +1122,7 @@ class DetectionGateway:
     # model resolution & hot-swap
     # ------------------------------------------------------------------
 
-    def _detector_for(
-        self, route_key: tuple[str | None, int | None]
-    ) -> "CombinedDetector":
+    def _detector_for(self, route_key: Route) -> "CombinedDetector":
         """The trained framework behind one pool slot."""
         if self._router is None:
             assert self.detector is not None
@@ -1279,7 +1132,10 @@ class DetectionGateway:
         return self._router.load(scenario, version)
 
     def request_promote(self, scenario: str) -> None:
-        """Thread-safe: re-check a scenario's active version and hot-swap."""
+        """Thread-safe: re-check a scenario's active version and hot-swap.
+
+        Before :meth:`start` the swap is remembered and applied there.
+        """
         if self._loop is None:
             self._maybe_swap(scenario)
         else:
@@ -1292,65 +1148,36 @@ class DetectionGateway:
             version = self._router.active_version(scenario)
         except RoutingError:
             return
-        if self._process_active():
-            assert self._loop is not None
-            self._loop.create_task(self._apply_swap_process(scenario, version))
-        else:
-            self._apply_swap(scenario, version)
+        if not any(
+            route.scenario == scenario and route.version != version
+            for route in self._bindings.values()
+        ):
+            return
+        if self._loop is None:
+            self._early_swaps[scenario] = version
+            return
+        task = self._loop.create_task(self._apply_swap(scenario, version))
+        self._swap_tasks.add(task)
+        task.add_done_callback(self._swap_tasks.discard)
 
-    def _apply_swap(self, scenario: str, version: int) -> None:
+    async def _apply_swap(self, scenario: str, version: int) -> None:
         """Drain-and-swap every stream of ``scenario`` onto ``version``.
 
-        Runs as one event-loop callback, so it lands *between* shard
-        ticks: packages already queued are simply scored by the new
-        engine on the next tick — none are dropped, and the verdict
-        sequence continues unbroken.  The old version's recurrent state
-        does not transfer (architectures and vocabularies may differ);
-        each swapped stream restarts from a fresh zero state exactly
-        like offline ``detect()`` starting at the swap boundary.
-        """
-        swapped = 0
-        for route in self._bindings.values():
-            if route.scenario != scenario or route.version == version:
-                continue
-            shard = self._shards[route.shard]
-            old_engine = shard.engines[(scenario, route.version)]
-            new_engine = shard.engine_for((scenario, version))
-            route.seq_base += old_engine.packages_seen(route.stream_id)
-            old_engine.detach(route.stream_id)
-            route.stream_id = new_engine.attach()
-            route.version = version
-            swapped += 1
-        if not swapped:
-            return
-        for shard in self._shards:
-            stale = [
-                key
-                for key, engine in shard.engines.items()
-                if key[0] == scenario
-                and key[1] != version
-                and engine.num_streams == 0
-            ]
-            for key in stale:
-                del shard.engines[key]
-        self._swaps_applied += 1
-
-    async def _apply_swap_process(self, scenario: str, version: int) -> None:
-        """Drain-and-swap ``scenario`` streams inside the worker processes.
-
-        Each shard's lock is held across its swap ops, so no tick can
-        read a half-updated route table; pipe FIFO order makes the
-        worker-side re-attach land between its ticks, exactly like the
-        in-process swap lands between loop callbacks.  Route fields are
-        re-checked under the lock, so concurrent swap tasks (subscribe
-        callback racing the registry poll) stay idempotent.
+        Each shard's lock is held across its swap ops, so the re-attach
+        lands *between* that shard's ticks and no tick reads a
+        half-updated route table: packages already queued are simply
+        scored by the new engine on the next tick — none are dropped,
+        and the verdict sequence continues unbroken.  The old version's
+        recurrent state does not transfer (architectures and
+        vocabularies may differ); each swapped stream restarts from a
+        fresh zero state exactly like offline ``detect()`` starting at
+        the swap boundary.  Route fields are re-checked under the lock,
+        so concurrent swaps (subscribe callback racing the registry
+        poll) stay idempotent.
         """
         swapped = 0
         try:
             for shard in self._shards:
-                client = shard.client
-                if client is None:
-                    continue
                 async with shard.lock:
                     for route in list(self._bindings.values()):
                         if (
@@ -1359,14 +1186,8 @@ class DetectionGateway:
                             or route.version == version
                         ):
                             continue
-                        future = client.submit(
-                            encode_swap(
-                                scenario, route.version, version,
-                                route.stream_id,
-                            )
-                        )
-                        new_id, old_seen = decode_swap(
-                            await asyncio.wrap_future(future)
+                        new_id, old_seen = await shard.pool.swap(
+                            scenario, route.version, version, route.stream_id
                         )
                         route.seq_base += old_seen
                         route.stream_id = new_id
@@ -1459,14 +1280,12 @@ class DetectionGateway:
                     time=package.time,
                 )
 
-    def _after_work(self, count: int, checkpoint: bool = True) -> None:
+    def _after_work(self, count: int) -> None:
         self._processed += count
         self._since_checkpoint += count
         if self._m_packages is not None:
             self._m_packages.inc(count)
         cfg = self.config
-        if checkpoint and self._checkpoint_due():
-            self._write_checkpoint()
         if cfg.max_packages is not None and self._processed >= cfg.max_packages:
             self._done.set()
 
@@ -1477,30 +1296,25 @@ class DetectionGateway:
             and self._since_checkpoint >= cfg.checkpoint_every
         )
 
-    async def _checkpoint_process(self) -> None:
-        """Periodic checkpoint in process mode (any shard may trigger)."""
+    async def _checkpoint(self) -> None:
+        """Periodic checkpoint (any shard's tick may trigger one)."""
         async with self._checkpoint_lock:
             if self._checkpoint_due():  # another shard may have just written
-                await self._write_checkpoint_process()
+                await self._write_checkpoint()
 
-    async def _write_checkpoint_process(self) -> None:
-        """Per-worker snapshot + atomic merge into the standard format.
+    async def _write_checkpoint(self) -> None:
+        """Snapshot every pool under all shard locks, then write off-loop.
 
-        All shard locks are taken while the binding table is copied and
-        the snapshot ops are submitted: no tick can be in its
-        read-and-submit window and no swap can run, so each worker's
-        snapshot lands between its ticks with the exact engine state
-        the copied bindings describe.  The responses are awaited (and
-        the merged artifact written, off-loop) after the locks drop —
-        FIFO pipes mean later traffic cannot retroactively change what
-        the snapshot ops observe.  The on-disk format is identical to
-        thread mode's, so checkpoints are interchangeable across
-        worker modes.
+        With every shard lock held, no tick is between its route reads
+        and its pool call and no swap can run, so each pool snapshot
+        matches the route table copied beside it.  ``state_dict()``
+        copies every array, so the write can leave the event loop while
+        ticks go on.  Both worker modes write the same on-disk format,
+        so checkpoints are interchangeable across modes.
         """
-        if not self.config.checkpoint_path:
+        path = self.config.checkpoint_path
+        if not path:
             return
-        from contextlib import AsyncExitStack
-
         started = perf_counter()
         async with AsyncExitStack() as stack:
             for shard in self._shards:
@@ -1515,14 +1329,12 @@ class DetectionGateway:
                 **self._obs_state_meta(),
             }
             if self._router is None:
-                single_bindings = {
+                bindings: dict[str, Any] = {
                     key: (route.shard, route.stream_id)
                     for key, route in self._bindings.items()
                 }
-                routed_bindings = None
             else:
-                single_bindings = None
-                routed_bindings = {
+                bindings = {
                     key: RouteBinding(
                         shard=route.shard,
                         scenario=route.scenario,
@@ -1532,30 +1344,23 @@ class DetectionGateway:
                         protocol=route.protocol,
                     )
                     for key, route in self._bindings.items()
-                    if route.scenario is not None and route.version is not None
                 }
-            futures = [
-                shard.client.submit(OP_SNAPSHOT) for shard in self._shards
-            ]
-        pools = [
-            decode_snapshot(await asyncio.wrap_future(future))
-            for future in futures
-        ]
+            pools = [await shard.pool.snapshot() for shard in self._shards]
+            self._since_checkpoint = 0
         if self._router is None:
-            assert self.detector is not None and single_bindings is not None
+            assert self.detector is not None
             await asyncio.to_thread(
                 save_gateway_checkpoint,
-                self.config.checkpoint_path,
+                path,
                 self.detector,
                 [EngineStateView(pool[SINGLE_LABEL]) for pool in pools],
-                single_bindings,
+                bindings,
                 meta=meta,
             )
         else:
-            assert routed_bindings is not None
             await asyncio.to_thread(
                 save_routed_gateway_checkpoint,
-                self.config.checkpoint_path,
+                path,
                 [
                     {
                         pool_route(label): EngineStateView(state)
@@ -1563,63 +1368,9 @@ class DetectionGateway:
                     }
                     for pool in pools
                 ],
-                routed_bindings,
+                bindings,
                 meta=meta,
             )
-        self._since_checkpoint = 0
-        self._checkpoints_written += 1
-        if self._m_checkpoint_timer is not None:
-            self._m_checkpoint_timer.observe(perf_counter() - started)
-
-    def _write_checkpoint(self) -> None:
-        # Deliberately synchronous on the loop: the engine states being
-        # snapshotted must not advance mid-save, and handing the numpy
-        # state arrays to a writer thread would race the next tick's
-        # in-place updates.  The stall is one compressed .npz write per
-        # checkpoint_every packages — size it accordingly.
-        if not self.config.checkpoint_path:
-            return
-        started = perf_counter()
-        meta = {
-            "processed": self._processed,
-            "routes": self._route_meta(),
-            "transport": {
-                name: dict(counters)
-                for name, counters in sorted(self._transport_stats.items())
-            },
-            **self._obs_state_meta(),
-        }
-        if self._router is None:
-            assert self.detector is not None
-            save_gateway_checkpoint(
-                self.config.checkpoint_path,
-                self.detector,
-                [shard.engines[_SINGLE_ROUTE] for shard in self._shards],
-                {
-                    key: (route.shard, route.stream_id)
-                    for key, route in self._bindings.items()
-                },
-                meta=meta,
-            )
-        else:
-            save_routed_gateway_checkpoint(
-                self.config.checkpoint_path,
-                [dict(shard.engines) for shard in self._shards],
-                {
-                    key: RouteBinding(
-                        shard=route.shard,
-                        scenario=route.scenario,
-                        version=route.version,
-                        stream_id=route.stream_id,
-                        seq_base=route.seq_base,
-                        protocol=route.protocol,
-                    )
-                    for key, route in self._bindings.items()
-                    if route.scenario is not None and route.version is not None
-                },
-                meta=meta,
-            )
-        self._since_checkpoint = 0
         self._checkpoints_written += 1
         if self._m_checkpoint_timer is not None:
             self._m_checkpoint_timer.observe(perf_counter() - started)
@@ -1646,18 +1397,12 @@ class DetectionGateway:
         row and lifetime package count) — the audit trail a mixed fleet
         needs.
         """
-        worker_stats = self._worker_stats_now()
+        pools = [shard.pool.stats() for shard in self._shards]
         routes: dict[str, dict[str, Any]] = {}
         fallback = (self._model_info or {}).get("scenario")
         for key, route in self._bindings.items():
-            if worker_stats is None:
-                engine = self._shards[route.shard].engines[route.route_key]
-                seen = engine.packages_seen(route.stream_id)
-            else:
-                entry = worker_stats[route.shard].get(
-                    pool_label(*route.route_key), {}
-                )
-                seen = int(entry.get("streams", {}).get(str(route.stream_id), 0))
+            entry = pools[route.shard].get(pool_label(*route.route_key))
+            seen = entry["streams"].get(str(route.stream_id), 0) if entry else 0
             routes[key] = {
                 "scenario": (
                     route.scenario if route.scenario is not None else fallback
@@ -1693,61 +1438,25 @@ class DetectionGateway:
         if self.tracer is not None:
             stats["tracing"] = self.tracer.stats()
         if self._router is None:
-            if worker_stats is None:
-                stats["shards"] = [
-                    _engine_stats_entry(asdict(shard.engines[_SINGLE_ROUTE].stats))
-                    for shard in self._shards
-                ]
-            else:
-                stats["shards"] = [
-                    _engine_stats_entry(ws.get(SINGLE_LABEL, {}).get("stats", {}))
-                    for ws in worker_stats
-                ]
+            stats["shards"] = [
+                _engine_stats_entry(pool.get(SINGLE_LABEL, {}).get("stats", {}))
+                for pool in pools
+            ]
             if self._model_info:
                 stats["model"] = dict(self._model_info)
         else:
-            if worker_stats is None:
-                stats["shards"] = [
-                    {
-                        route_label(scenario, version): _engine_stats_entry(
-                            asdict(engine.stats)
-                        )
-                        for (scenario, version), engine in sorted(
-                            shard.engines.items()
-                        )
-                    }
-                    for shard in self._shards
-                ]
-            else:
-                stats["shards"] = [
-                    {
-                        label: _engine_stats_entry(entry.get("stats", {}))
-                        for label, entry in sorted(ws.items())
-                    }
-                    for ws in worker_stats
-                ]
+            stats["shards"] = [
+                {
+                    label: _engine_stats_entry(entry["stats"])
+                    for label, entry in sorted(pool.items())
+                }
+                for pool in pools
+            ]
             stats["swaps_applied"] = self._swaps_applied
             stats["identified"] = self._identified
             stats["abstained"] = self._abstained
             stats["registry"] = self._router.stats()
         return stats
-
-    def _worker_stats_now(self) -> list[dict[str, Any]] | None:
-        """Per-shard worker engine stats, or ``None`` in thread mode.
-
-        While workers run, each shard is polled synchronously (safe
-        cross-thread: requests ride the worker's I/O thread); after
-        :meth:`stop`, the final poll cached at shutdown keeps
-        ``stats()`` answering.
-        """
-        if self._final_worker_stats is not None:
-            return self._final_worker_stats
-        if not self._process_active():
-            return None
-        return [
-            decode_stats(shard.client.call_sync(OP_STATS))
-            for shard in self._shards
-        ]
 
 
 # ----------------------------------------------------------------------
@@ -1783,9 +1492,11 @@ class GatewayHandle:
         future = asyncio.run_coroutine_threadsafe(
             self.gateway.stop(checkpoint), self._loop
         )
-        future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+        try:
+            future.result(timeout)
+        finally:
+            self._loop.call_soon_threadsafe(self._loop.stop)
+            self._thread.join(timeout)
 
     def stats(self) -> dict[str, Any]:
         return self.gateway.stats()

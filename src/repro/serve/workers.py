@@ -1,32 +1,37 @@
-"""Multi-process shard backends: engine pools in worker OS processes.
+"""Shard engine pools, on the event loop or in worker OS processes.
 
-The gateway's shards are asyncio tasks — perfect for I/O multiplexing,
-useless for CPU scaling: every LSTM step of every shard contends for
-one GIL, so adding shards *loses* throughput.  This module moves the
-compute side of a shard into its own OS process while the acceptor,
-router, alert pipeline and per-dialect transport counters stay on the
-async side:
+Every gateway shard owns one :class:`EnginePool`: its streams' engines
+keyed by model route, ``(scenario, version)`` in a routed gateway and
+the single slot ``(None, None)`` in a single-detector one.  The gateway
+talks to every shard through the pool's async interface, whatever the
+backend:
 
-- :func:`_worker_main` is the worker process: it owns one shard's
-  engine pool (keyed by model route, exactly like the in-process
-  ``_Shard.engines``) and serves a strict request/response loop over a
-  duplex :mod:`multiprocessing` pipe.
-- The channel is **pickle-free**: requests and responses are
-  hand-framed byte strings.  Feature rows cross as the fixed-layout
-  :func:`~repro.serve.transport.encode_stream_data` records (the same
-  dialect-neutral binary package record the wire protocols use), and
-  engine state crosses as in-memory ``.npz`` blobs
-  (:func:`~repro.utils.artifact.state_to_bytes`).
-- :class:`WorkerHandle` is the async-side endpoint: a dedicated I/O
-  thread drives the pipe so the event loop never blocks, and each
-  request resolves a future (awaitable via :meth:`WorkerHandle.call`
-  or joined cross-thread via :meth:`WorkerHandle.call_sync`).
+- ``worker_mode="thread"``: the shard awaits its :class:`EnginePool`
+  directly on the event loop.  The pool's ops are coroutines that never
+  suspend, so a tick, swap or snapshot has finished before its
+  ``await`` returns and never yields to another task.
+- ``worker_mode="process"``: :func:`_worker_main` runs the same
+  :class:`EnginePool` in a worker process behind a byte codec
+  (:func:`serve_request`), and :class:`WorkerPool` is its gateway-side
+  stand-in with the same methods.  Thread-mode shards share one GIL; a
+  worker process computes on its own core, at the price of one pipe
+  round trip per op.
 
-Because the pipe is FIFO and the worker is single-threaded, the
-observable op order *is* the submission order: a snapshot submitted
-after an observe reflects that observe, a swap submitted before a tick
-lands before it.  The gateway leans on this for bit-identical
-checkpoints and zero-drop hot-swaps in process mode.
+The channel is **pickle-free**: requests and responses are hand-framed
+byte strings.  Feature rows cross as the fixed-layout
+:func:`~repro.serve.transport.encode_stream_data` records (the same
+dialect-neutral binary package record the wire protocols use), and
+engine state crosses as in-memory ``.npz`` blobs
+(:func:`~repro.utils.artifact.state_to_bytes`).  Every response decoder
+checks the opcode and the exact length and raises :class:`WorkerError`
+on anything else.
+
+:class:`WorkerHandle` owns the process: a dedicated I/O thread drives
+the pipe so the event loop never blocks, and each request resolves a
+future (awaitable via :meth:`WorkerHandle.call` or joined cross-thread
+via :meth:`WorkerHandle.call_sync`).  Because the pipe is FIFO and the
+worker is single-threaded, the observable op order *is* the submission
+order.
 
 Workers are started with the ``spawn`` context: the gateway often runs
 on a background thread (:func:`~repro.serve.gateway.start_in_thread`),
@@ -42,14 +47,25 @@ import queue
 import struct
 import threading
 import traceback
+import zipfile
 from concurrent.futures import Future
 from dataclasses import asdict
-from typing import TYPE_CHECKING, Any
+from time import perf_counter
+from typing import TYPE_CHECKING, Any, Callable
+
+from repro.serve.transport import decode_stream_data, encode_stream_data
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.combined import CombinedDetector
     from repro.core.stream_engine import StreamEngine
+    from repro.ics.features import Package
     from repro.obs.metrics import MetricsRegistry
+
+#: Model route of one engine-pool slot: ``(scenario, version)``.
+Route = tuple["str | None", "int | None"]
+
+#: Route of the lone engine slot in single-detector mode.
+SINGLE_ROUTE: Route = (None, None)
 
 #: Pool label of the lone engine slot in single-detector mode.  Routed
 #: labels are ``scenario@version`` (always contain ``@``), so the bare
@@ -59,10 +75,10 @@ SINGLE_LABEL = "default"
 #: Kind tag of engine-state blobs crossing the pipe.
 STATE_BLOB_KIND = "worker-engine-pool"
 
-# Request opcodes (first byte of every request frame).
+# Request opcodes (first byte of every request frame); a response
+# carries its request's opcode in lower case.
 OP_INIT = b"I"
 OP_ATTACH = b"A"
-OP_DETACH = b"D"
 OP_SEEN = b"P"
 OP_OBSERVE = b"O"
 OP_SWAP = b"W"
@@ -76,12 +92,13 @@ OP_ERROR = b"!"
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
 _U64 = struct.Struct(">Q")
+_SWAP_REQUEST = struct.Struct(">III")  # old version, new version, stream id
+_SWAP_RESPONSE = struct.Struct(">IQ")  # new stream id, old version's count
 
 #: Opcode -> metric label for pipe round-trip histograms.
 _OP_NAMES = {
     OP_INIT: "init",
     OP_ATTACH: "attach",
-    OP_DETACH: "detach",
     OP_SEEN: "seen",
     OP_OBSERVE: "observe",
     OP_SWAP: "swap",
@@ -92,7 +109,107 @@ _OP_NAMES = {
 
 
 class WorkerError(RuntimeError):
-    """A shard worker failed a request or its channel died."""
+    """A shard worker failed a request, sent a malformed response, or its
+    channel died."""
+
+
+# ----------------------------------------------------------------------
+# the engine pool
+# ----------------------------------------------------------------------
+
+
+class EnginePool:
+    """One shard's engines, keyed by model route and created on first use.
+
+    The ops are coroutines so that this pool and :class:`WorkerPool`
+    share one interface, but none of them ever suspends: awaited on the
+    event loop, each has finished before its ``await`` returns.
+    """
+
+    def __init__(
+        self,
+        detector_for: "Callable[[Route], CombinedDetector]",
+        engines: "dict[Route, StreamEngine] | None" = None,
+    ) -> None:
+        self._detector_for = detector_for
+        self.engines: "dict[Route, StreamEngine]" = dict(engines or {})
+
+    def _engine(self, route: Route) -> "StreamEngine":
+        engine = self.engines.get(route)
+        if engine is None:
+            engine = self.engines[route] = self._detector_for(route).engine(0)
+        return engine
+
+    async def observe(
+        self,
+        groups: "list[tuple[Route, dict[int, Package]]]",
+        traced: bool = False,
+    ) -> tuple[list, "list[dict[str, float]] | None"]:
+        """One batched step per ``(route, {stream_id: package})`` group.
+
+        Returns each group's ``(verdicts, levels)`` and, when ``traced``,
+        each group's trace stages: ``{"tick": engine seconds}``.
+        """
+        results, stages = [], [] if traced else None
+        for route, batch in groups:
+            started = perf_counter() if traced else 0.0
+            results.append(self.engines[route].observe_batch(batch))
+            if stages is not None:
+                stages.append({"tick": perf_counter() - started})
+        return results, stages
+
+    async def attach(self, route: Route) -> int:
+        """Attach a fresh stream to the route's engine; returns its id."""
+        return self._engine(route).attach()
+
+    async def seen(self, route: Route, stream_id: int) -> int:
+        """Lifetime package count of one stream."""
+        return self.engines[route].packages_seen(stream_id)
+
+    async def swap(
+        self, scenario: str, old_version: int, new_version: int, stream_id: int
+    ) -> tuple[int, int]:
+        """Move one stream to another version of its scenario.
+
+        Returns ``(new_stream_id, packages_seen_by_old_version)``.  The
+        stream restarts from a fresh zero state; an old version's engine
+        left without streams holds only dead recurrent state and is
+        dropped.
+        """
+        old_route = (scenario, old_version)
+        old_engine = self.engines[old_route]
+        # Load before detaching: a failed load leaves the stream in place.
+        new_engine = self._engine((scenario, new_version))
+        old_seen = old_engine.packages_seen(stream_id)
+        old_engine.detach(stream_id)
+        new_id = new_engine.attach()
+        if old_engine.num_streams == 0:
+            del self.engines[old_route]
+        return new_id, old_seen
+
+    async def snapshot(self) -> dict[str, dict[str, Any]]:
+        """``{pool label: engine state dict}``; the arrays are copies."""
+        return {
+            pool_label(*route): engine.state_dict()
+            for route, engine in self.engines.items()
+        }
+
+    def stats(self) -> dict[str, dict[str, Any]]:
+        """``{pool label: {"stats": EngineStats dict, "streams":
+        {str(stream id): packages seen}}}`` — JSON-ready as it stands."""
+        return {
+            pool_label(*route): {
+                "stats": asdict(engine.stats),
+                "streams": {
+                    str(sid): engine.packages_seen(sid)
+                    for sid in engine.stream_ids
+                },
+            }
+            for route, engine in self.engines.items()
+        }
+
+    async def close(self) -> None:
+        """Nothing to release in-process."""
 
 
 # ----------------------------------------------------------------------
@@ -110,10 +227,10 @@ def pool_label(scenario: str | None, version: int | None) -> str:
     return route_label(scenario, version)
 
 
-def pool_route(label: str) -> tuple[str | None, int | None]:
+def pool_route(label: str) -> Route:
     """Invert :func:`pool_label`."""
     if label == SINGLE_LABEL:
-        return (None, None)
+        return SINGLE_ROUTE
     from repro.persistence import parse_route_label
 
     return parse_route_label(label)
@@ -140,6 +257,21 @@ def _get_block(view: memoryview, offset: int) -> tuple[bytes, int]:
     (size,) = _U32.unpack_from(view, offset)
     offset += _U32.size
     return bytes(view[offset : offset + size]), offset + size
+
+
+def _response_body(resp: bytes, op: bytes, size: int | None = None) -> memoryview:
+    """The body of a response to ``op``, after checking its opcode and,
+    when ``size`` is given, its exact length."""
+    if resp[:1] != op.lower():
+        raise WorkerError(
+            f"expected a {_OP_NAMES[op]} response, got opcode {bytes(resp[:1])!r}"
+        )
+    body = memoryview(resp)[1:]
+    if size is not None and len(body) != size:
+        raise WorkerError(
+            f"{_OP_NAMES[op]} response holds {len(body)} bytes, expected {size}"
+        )
+    return body
 
 
 def encode_init(
@@ -170,15 +302,8 @@ def encode_attach(label: str) -> bytes:
 
 
 def decode_attach(resp: bytes) -> int:
-    (stream_id,) = _U32.unpack_from(resp, 1)
+    (stream_id,) = _U32.unpack(_response_body(resp, OP_ATTACH, _U32.size))
     return stream_id
-
-
-def encode_detach(label: str, stream_id: int) -> bytes:
-    buf = bytearray(OP_DETACH)
-    _put_str(buf, label)
-    buf += _U32.pack(stream_id)
-    return bytes(buf)
 
 
 def encode_seen(label: str, stream_id: int) -> bytes:
@@ -189,7 +314,7 @@ def encode_seen(label: str, stream_id: int) -> bytes:
 
 
 def decode_seen(resp: bytes) -> int:
-    (seen,) = _U64.unpack_from(resp, 1)
+    (seen,) = _U64.unpack(_response_body(resp, OP_SEEN, _U64.size))
     return seen
 
 
@@ -215,7 +340,7 @@ def decode_verdicts(
     worker-side seconds each engine group spent in ``observe_batch`` —
     the tracing plane subtracts these from the pipe round-trip to
     attribute worker compute separately from IPC."""
-    body = memoryview(resp)[1:]
+    body = _response_body(resp, OP_OBSERVE)
     rows_end = 2 * count
     if len(body) < rows_end + _U16.size:
         raise WorkerError(
@@ -238,16 +363,14 @@ def encode_swap(
 ) -> bytes:
     buf = bytearray(OP_SWAP)
     _put_str(buf, scenario)
-    buf += _U32.pack(old_version)
-    buf += _U32.pack(new_version)
-    buf += _U32.pack(stream_id)
+    buf += _SWAP_REQUEST.pack(old_version, new_version, stream_id)
     return bytes(buf)
 
 
 def decode_swap(resp: bytes) -> tuple[int, int]:
     """``(new_stream_id, packages_seen_by_old_version)``."""
-    (new_id,) = _U32.unpack_from(resp, 1)
-    (old_seen,) = _U64.unpack_from(resp, 1 + _U32.size)
+    body = _response_body(resp, OP_SWAP, _SWAP_RESPONSE.size)
+    new_id, old_seen = _SWAP_RESPONSE.unpack(body)
     return new_id, old_seen
 
 
@@ -255,158 +378,146 @@ def decode_snapshot(resp: bytes) -> dict[str, Any]:
     """The worker's engine pool as ``{label: engine_state_dict}``."""
     from repro.utils.artifact import state_from_bytes
 
-    return state_from_bytes(bytes(resp[1:]), kind=STATE_BLOB_KIND)
+    body = _response_body(resp, OP_SNAPSHOT)
+    if len(body) < _U32.size or len(body) != _U32.size + _U32.unpack_from(body)[0]:
+        raise WorkerError(
+            f"snapshot response of {len(body)} bytes is not one "
+            "length-prefixed blob"
+        )
+    try:
+        return state_from_bytes(bytes(body[_U32.size :]), kind=STATE_BLOB_KIND)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise WorkerError(f"corrupt snapshot blob: {exc}") from exc
 
 
 def decode_stats(resp: bytes) -> dict[str, Any]:
     """``{label: {"stats": EngineStats dict, "streams": {id: seen}}}``."""
-    return json.loads(bytes(resp[1:]).decode("utf-8"))
+    body = _response_body(resp, OP_STATS)
+    try:
+        payload = json.loads(bytes(body).decode("utf-8"))
+    except ValueError as exc:
+        raise WorkerError(f"corrupt stats response: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise WorkerError("stats response is not a JSON object")
+    return payload
 
 
 # ----------------------------------------------------------------------
-# worker process
+# worker side of the codec
 # ----------------------------------------------------------------------
 
 
-class _EnginePool:
-    """The worker-side shard: engines keyed by pool label."""
+def _complete(op: Any) -> Any:
+    """Run one :class:`EnginePool` op to completion without an event
+    loop: its coroutines never suspend."""
+    try:
+        op.send(None)
+    except StopIteration as done:
+        return done.value
+    op.close()
+    raise WorkerError("engine pool op suspended")
 
-    def __init__(self, msg: memoryview) -> None:
-        from repro.core.stream_engine import StreamEngine
-        from repro.utils.artifact import state_from_bytes
 
-        offset = 2  # opcode + mode byte
-        self.detector: "CombinedDetector | None" = None
-        self.registry = None
-        if msg[1] == 0:
-            from repro.core.combined import CombinedDetector
+def _init_pool(msg: memoryview) -> EnginePool:
+    """Rebuild the shard's pool from an INIT request."""
+    from repro.core.stream_engine import StreamEngine
+    from repro.utils.artifact import state_from_bytes
 
-            blob, offset = _get_block(msg, offset)
-            self.detector = CombinedDetector.from_state(
-                state_from_bytes(blob, kind=STATE_BLOB_KIND)
-            )
-        else:
-            from repro.registry.store import ModelRegistry
+    offset = 2  # opcode + mode byte
+    if msg[1] == 0:
+        from repro.core.combined import CombinedDetector
 
-            root, offset = _get_str(msg, offset)
-            self.registry = ModelRegistry(root)
-        pool_blob, offset = _get_block(msg, offset)
-        self.engines: dict[str, StreamEngine] = {}
-        for label, state in state_from_bytes(
-            pool_blob, kind=STATE_BLOB_KIND
-        ).items():
-            self.engines[label] = StreamEngine.from_state(
-                self._detector_for(label), state
-            )
+        blob, offset = _get_block(msg, offset)
+        detector = CombinedDetector.from_state(
+            state_from_bytes(blob, kind=STATE_BLOB_KIND)
+        )
 
-    def _detector_for(self, label: str) -> "CombinedDetector":
-        if self.detector is not None:
-            return self.detector
-        assert self.registry is not None
-        scenario, version = pool_route(label)
-        assert scenario is not None and version is not None
-        return self.registry.load(scenario, version)
+        def detector_for(route: Route) -> "CombinedDetector":
+            return detector
 
-    def _engine_for(self, label: str) -> "StreamEngine":
-        engine = self.engines.get(label)
-        if engine is None:
-            engine = self._detector_for(label).engine(0)
-            self.engines[label] = engine
-        return engine
+    else:
+        from repro.registry.store import ModelRegistry
 
-    # -- ops -----------------------------------------------------------
+        root, offset = _get_str(msg, offset)
+        registry = ModelRegistry(root)
 
-    def dispatch(self, op: bytes, msg: memoryview) -> bytes:
-        if op == OP_OBSERVE:
-            return self._observe(msg)
-        if op == OP_ATTACH:
-            label, _ = _get_str(msg, 1)
-            return OP_ATTACH.lower() + _U32.pack(self._engine_for(label).attach())
-        if op == OP_SEEN:
-            label, offset = _get_str(msg, 1)
-            (stream_id,) = _U32.unpack_from(msg, offset)
-            seen = self.engines[label].packages_seen(stream_id)
-            return OP_SEEN.lower() + _U64.pack(seen)
-        if op == OP_DETACH:
-            label, offset = _get_str(msg, 1)
-            (stream_id,) = _U32.unpack_from(msg, offset)
-            self.engines[label].detach(stream_id)
-            return OP_DETACH.lower()
-        if op == OP_SWAP:
-            return self._swap(msg)
-        if op == OP_SNAPSHOT:
-            from repro.utils.artifact import state_to_bytes
+        def detector_for(route: Route) -> "CombinedDetector":
+            scenario, version = route
+            assert scenario is not None and version is not None
+            return registry.load(scenario, version)
 
-            blob = state_to_bytes(
-                {label: e.state_dict() for label, e in self.engines.items()},
-                kind=STATE_BLOB_KIND,
-            )
-            return OP_SNAPSHOT.lower() + blob
-        if op == OP_STATS:
-            payload = {
-                label: {
-                    "stats": asdict(engine.stats),
-                    "streams": {
-                        str(sid): engine.packages_seen(sid)
-                        for sid in engine.stream_ids
-                    },
-                }
-                for label, engine in self.engines.items()
-            }
-            return OP_STATS.lower() + json.dumps(payload).encode("utf-8")
-        raise WorkerError(f"unknown opcode {bytes(op)!r}")
+    pool_blob, offset = _get_block(msg, offset)
+    engines = {}
+    for label, state in state_from_bytes(pool_blob, kind=STATE_BLOB_KIND).items():
+        route = pool_route(label)
+        engines[route] = StreamEngine.from_state(detector_for(route), state)
+    return EnginePool(detector_for, engines)
 
-    def _observe(self, msg: memoryview) -> bytes:
-        from time import perf_counter
 
-        from repro.serve.transport import decode_stream_data
+def serve_request(pool: EnginePool, msg: bytes) -> bytes:
+    """Decode one request, run it on ``pool``, encode the response."""
+    view = memoryview(msg)
+    op = bytes(view[:1])
+    if op == OP_OBSERVE:
+        return _serve_observe(pool, view)
+    if op == OP_ATTACH:
+        label, _ = _get_str(view, 1)
+        return OP_ATTACH.lower() + _U32.pack(
+            _complete(pool.attach(pool_route(label)))
+        )
+    if op == OP_SEEN:
+        label, offset = _get_str(view, 1)
+        (stream_id,) = _U32.unpack_from(view, offset)
+        seen = _complete(pool.seen(pool_route(label), stream_id))
+        return OP_SEEN.lower() + _U64.pack(seen)
+    if op == OP_SWAP:
+        scenario, offset = _get_str(view, 1)
+        old_version, new_version, stream_id = _SWAP_REQUEST.unpack_from(view, offset)
+        swapped = _complete(pool.swap(scenario, old_version, new_version, stream_id))
+        return OP_SWAP.lower() + _SWAP_RESPONSE.pack(*swapped)
+    if op == OP_SNAPSHOT:
+        from repro.utils.artifact import state_to_bytes
 
-        (n_groups,) = _U16.unpack_from(msg, 1)
-        offset = 1 + _U16.size
-        out = bytearray(OP_OBSERVE.lower())
-        timings: list[float] = []
-        for _ in range(n_groups):
-            label, offset = _get_str(msg, offset)
-            (n_items,) = _U32.unpack_from(msg, offset)
-            offset += _U32.size
-            batch: dict[int, Any] = {}
-            for _ in range(n_items):
-                (stream_id,) = _U32.unpack_from(msg, offset)
-                offset += _U32.size
-                record, offset = _get_block(msg, offset)
-                batch[stream_id] = decode_stream_data(record).package
-            started = perf_counter()
-            verdicts, levels = self.engines[label].observe_batch(batch)
-            timings.append(perf_counter() - started)
-            for verdict, level in zip(verdicts, levels):
-                out += bytes((1 if verdict else 0, int(level) & 0xFF))
-        # Trailer: per-group engine seconds, so the gateway can split
-        # worker compute from pipe round-trip in sampled traces.
-        out += _U16.pack(len(timings))
-        out += struct.pack(f">{len(timings)}d", *timings)
+        out = bytearray(OP_SNAPSHOT.lower())
+        _put_block(
+            out, state_to_bytes(_complete(pool.snapshot()), kind=STATE_BLOB_KIND)
+        )
         return bytes(out)
+    if op == OP_STATS:
+        return OP_STATS.lower() + json.dumps(pool.stats()).encode("utf-8")
+    raise WorkerError(f"unknown opcode {op!r}")
 
-    def _swap(self, msg: memoryview) -> bytes:
-        scenario, offset = _get_str(msg, 1)
-        (old_version,) = _U32.unpack_from(msg, offset)
-        (new_version,) = _U32.unpack_from(msg, offset + _U32.size)
-        (stream_id,) = _U32.unpack_from(msg, offset + 2 * _U32.size)
-        old_label = pool_label(scenario, old_version)
-        old_engine = self.engines[old_label]
-        old_seen = old_engine.packages_seen(stream_id)
-        old_engine.detach(stream_id)
-        new_engine = self._engine_for(pool_label(scenario, new_version))
-        new_id = new_engine.attach()
-        # Same stale-pool GC as the in-process swap: an old version's
-        # engine with no streams left holds only dead recurrent state.
-        if old_engine.num_streams == 0:
-            del self.engines[old_label]
-        return OP_SWAP.lower() + _U32.pack(new_id) + _U64.pack(old_seen)
+
+def _serve_observe(pool: EnginePool, msg: memoryview) -> bytes:
+    (n_groups,) = _U16.unpack_from(msg, 1)
+    offset = 1 + _U16.size
+    groups = []
+    for _ in range(n_groups):
+        label, offset = _get_str(msg, offset)
+        (n_items,) = _U32.unpack_from(msg, offset)
+        offset += _U32.size
+        batch: dict[int, Any] = {}
+        for _ in range(n_items):
+            (stream_id,) = _U32.unpack_from(msg, offset)
+            offset += _U32.size
+            record, offset = _get_block(msg, offset)
+            batch[stream_id] = decode_stream_data(record).package
+        groups.append((pool_route(label), batch))
+    results, stages = _complete(pool.observe(groups, traced=True))
+    out = bytearray(OP_OBSERVE.lower())
+    for verdicts, levels in results:
+        for verdict, level in zip(verdicts, levels):
+            out += bytes((1 if verdict else 0, int(level) & 0xFF))
+    # Trailer: per-group engine seconds (the pool's "tick" stage), so the
+    # gateway can split worker compute from pipe round-trip in traces.
+    out += _U16.pack(len(stages))
+    out += struct.pack(f">{len(stages)}d", *(stage["tick"] for stage in stages))
+    return bytes(out)
 
 
 def _worker_main(conn, index: int) -> None:
     """One shard worker: a strict FIFO request/response loop."""
-    pool: _EnginePool | None = None
+    pool: EnginePool | None = None
     try:
         while True:
             try:
@@ -419,13 +530,13 @@ def _worker_main(conn, index: int) -> None:
                 break
             try:
                 if op == OP_INIT:
-                    pool = _EnginePool(memoryview(msg))
+                    pool = _init_pool(memoryview(msg))
                     resp = OP_INIT.lower()
                 elif pool is None:
                     raise WorkerError("worker received ops before INIT")
                 else:
-                    resp = pool.dispatch(op, memoryview(msg))
-            except BaseException:  # noqa: BLE001 - reported to the gateway
+                    resp = serve_request(pool, msg)
+            except Exception:  # noqa: BLE001 - reported to the gateway
                 resp = OP_ERROR + traceback.format_exc().encode(
                     "utf-8", "replace"
                 )
@@ -438,7 +549,7 @@ def _worker_main(conn, index: int) -> None:
 
 
 # ----------------------------------------------------------------------
-# async-side endpoint
+# gateway side
 # ----------------------------------------------------------------------
 
 
@@ -452,10 +563,7 @@ class WorkerHandle:
     """
 
     def __init__(
-        self,
-        index: int,
-        start_method: str = "spawn",
-        metrics: "MetricsRegistry | None" = None,
+        self, index: int, metrics: "MetricsRegistry | None" = None
     ) -> None:
         # Pre-resolve per-opcode round-trip histograms so the I/O loop
         # pays one dict probe per request, not a registry lookup.
@@ -474,7 +582,7 @@ class WorkerHandle:
                 for op, name in _OP_NAMES.items()
             }
         )
-        ctx = multiprocessing.get_context(start_method)
+        ctx = multiprocessing.get_context("spawn")
         self._conn, child = ctx.Pipe(duplex=True)
         self._process = ctx.Process(
             target=_worker_main,
@@ -490,10 +598,6 @@ class WorkerHandle:
             target=self._io_loop, name=f"repro-worker-io-{index}", daemon=True
         )
         self._io.start()
-
-    @property
-    def pid(self) -> int | None:
-        return self._process.pid
 
     def submit(self, payload: bytes) -> "Future[bytes]":
         """Queue one request; the future resolves with the response.
@@ -581,3 +685,93 @@ class WorkerHandle:
         if self._process.is_alive():
             self._process.kill()
         self._requests.put(None)
+
+
+class WorkerPool:
+    """An :class:`EnginePool` running in a worker process.
+
+    Same methods as the in-process pool; each op is one pipe round trip
+    through the codec.  A worker that has died reports no engines.
+    """
+
+    def __init__(self, handle: WorkerHandle) -> None:
+        self._handle = handle
+        #: Stats cached by :meth:`close`, so ``stats()`` keeps answering.
+        self._final_stats: dict[str, dict[str, Any]] | None = None
+
+    async def observe(
+        self,
+        groups: "list[tuple[Route, dict[int, Package]]]",
+        traced: bool = False,
+    ) -> tuple[list, "list[dict[str, float]] | None"]:
+        """Same contract as :meth:`EnginePool.observe`; traced stages are
+        ``{"worker": engine seconds, "pipe": round trip beyond compute}``."""
+        started = perf_counter() if traced else 0.0
+        request = encode_observe(
+            [
+                (
+                    pool_label(*route),
+                    [(sid, encode_stream_data(pkg, 0)) for sid, pkg in batch.items()],
+                )
+                for route, batch in groups
+            ]
+        )
+        rows, seconds = decode_verdicts(
+            await self._handle.call(request),
+            sum(len(batch) for _, batch in groups),
+        )
+        results = []
+        at = 0
+        for _, batch in groups:
+            chunk = rows[at : at + len(batch)]
+            at += len(batch)
+            results.append(
+                ([verdict for verdict, _ in chunk], [level for _, level in chunk])
+            )
+        if not traced:
+            return results, None
+        # Whatever the round trip spent beyond total compute is pipe and
+        # framing overhead, shared by every row of this request.
+        pipe = max(0.0, perf_counter() - started - sum(seconds))
+        return results, [{"worker": s, "pipe": pipe} for s in seconds]
+
+    async def attach(self, route: Route) -> int:
+        return decode_attach(
+            await self._handle.call(encode_attach(pool_label(*route)))
+        )
+
+    async def seen(self, route: Route, stream_id: int) -> int:
+        return decode_seen(
+            await self._handle.call(encode_seen(pool_label(*route), stream_id))
+        )
+
+    async def swap(
+        self, scenario: str, old_version: int, new_version: int, stream_id: int
+    ) -> tuple[int, int]:
+        return decode_swap(
+            await self._handle.call(
+                encode_swap(scenario, old_version, new_version, stream_id)
+            )
+        )
+
+    async def snapshot(self) -> dict[str, dict[str, Any]]:
+        return decode_snapshot(await self._handle.call(OP_SNAPSHOT))
+
+    def stats(self) -> dict[str, dict[str, Any]]:
+        """Engine stats polled over the pipe (safe from any thread)."""
+        if self._final_stats is not None:
+            return self._final_stats
+        try:
+            return decode_stats(self._handle.call_sync(OP_STATS))
+        except WorkerError:
+            return {}
+
+    async def close(self) -> None:
+        """Cache the final stats, then QUIT the worker and join it."""
+        if self._final_stats is not None:
+            return
+        try:
+            self._final_stats = decode_stats(await self._handle.call(OP_STATS))
+        except WorkerError:
+            self._final_stats = {}
+        await asyncio.to_thread(self._handle.close)
