@@ -13,9 +13,15 @@ This module gives that split a durable form:
   :class:`~repro.core.stream_engine.StreamEngine` (stacked recurrent
   states, per-stream clocks, counters) together with its detector, so a
   monitor can fail over to another process and continue bit-identically
-  mid-stream.
+  mid-stream,
+- :func:`save_gateway_checkpoint` / :func:`load_gateway_checkpoint` — a
+  running :class:`~repro.serve.DetectionGateway`: every shard's engine
+  pool keyed by route label, the stream-key route table and, for a
+  single-model gateway, its detector.  A single-model gateway is a
+  one-route gateway (:data:`SINGLE_ROUTE`), so both kinds of gateway
+  share one layout; a registry gateway's file embeds no weights.
 
-Both formats ride the schema-checked artifact container of
+Every format rides the schema-checked artifact container of
 :mod:`repro.utils.artifact`; loads of corrupt, truncated or
 wrong-version files raise :class:`~repro.utils.artifact.ArtifactError`.
 """
@@ -24,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
@@ -42,8 +48,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 DETECTOR_KIND = "combined-detector"
 CHECKPOINT_KIND = "stream-checkpoint"
-GATEWAY_KIND = "gateway-checkpoint"
-ROUTED_GATEWAY_KIND = "routed-gateway-checkpoint"
+#: Kind of every gateway checkpoint written, single-model or routed.
+GATEWAY_KIND = "routed-gateway-checkpoint"
+#: Kind of the single-detector gateway checkpoints of earlier releases:
+#: still read, never written.
+OLD_GATEWAY_KIND = "gateway-checkpoint"
 
 
 def profile_provenance(profile: "Profile") -> dict[str, Any]:
@@ -127,186 +136,33 @@ def checkpoint_meta(path: str | os.PathLike) -> dict[str, Any]:
     return read_meta(path)["meta"]
 
 
-class EngineStateView:
-    """A raw engine state dict wearing a :class:`StreamEngine`'s face.
-
-    The gateway checkpoint writers only touch two members of each
-    engine — ``state_dict()`` and ``stream_ids`` — so a snapshot
-    gathered from a worker *process* (already a plain state dict, no
-    live engine on this side of the pipe) can be checkpointed through
-    the exact same code path, keeping the on-disk format identical
-    across worker modes.
-    """
-
-    __slots__ = ("_state",)
-
-    def __init__(self, state: dict[str, Any]) -> None:
-        self._state = state
-
-    def state_dict(self) -> dict[str, Any]:
-        return self._state
-
-    @property
-    def stream_ids(self) -> tuple[int, ...]:
-        return tuple(int(i) for i in np.asarray(self._state["stream_ids"]))
-
-
 # ----------------------------------------------------------------------
-# gateway checkpoints: many sharded engines + stream-key bindings
+# gateway checkpoints: per-shard engine pools keyed by model route
 # ----------------------------------------------------------------------
 
+#: Model route of one engine-pool slot: ``(scenario, version)``.
+Route = tuple["str | None", "int | None"]
 
-@dataclass
-class GatewayCheckpoint:
-    """A restored gateway state: detector, shard engines, bindings.
+#: Route of the lone engine slot of a single-model gateway.
+SINGLE_ROUTE: Route = (None, None)
 
-    ``bindings`` maps each stream key to its ``(shard_index,
-    stream_id)`` home, so reconnecting clients land on the exact
-    recurrent state they left behind.
-    """
-
-    detector: CombinedDetector
-    engines: list[StreamEngine]
-    bindings: dict[str, tuple[int, int]]
-    meta: dict[str, Any]
+#: Label of that slot.  Routed labels are ``scenario@version`` (always
+#: contain ``@``), so the bare word can never collide with a real route.
+SINGLE_LABEL = "default"
 
 
-def save_gateway_checkpoint(
-    path: str | os.PathLike,
-    detector: CombinedDetector,
-    engines: list[StreamEngine],
-    bindings: dict[str, tuple[int, int]],
-    meta: dict[str, Any] | None = None,
-) -> None:
-    """Snapshot a sharded gateway (detector + every engine) atomically.
-
-    One artifact holds the trained detector, one engine state per
-    shard, and the stream-key → (shard, stream id) binding table — the
-    complete fail-over unit for :class:`repro.serve.DetectionGateway`.
-    The write goes through a same-directory temp file and ``os.replace``
-    so a crash mid-checkpoint can never leave a torn artifact where the
-    previous good one stood.
-    """
-    keys = sorted(bindings)
-    for key in keys:
-        shard, stream_id = bindings[key]
-        if not 0 <= shard < len(engines):
-            raise ValueError(f"binding {key!r} names shard {shard} of {len(engines)}")
-        if stream_id not in engines[shard].stream_ids:
-            raise ValueError(
-                f"binding {key!r} names stream {stream_id} not attached to "
-                f"shard {shard}"
-            )
-    state = {
-        "detector": detector.state_dict(),
-        "num_shards": len(engines),
-        "shards": {str(i): e.state_dict() for i, e in enumerate(engines)},
-        "binding_shards": np.array(
-            [bindings[k][0] for k in keys], dtype=np.int64
-        ),
-        "binding_streams": np.array(
-            [bindings[k][1] for k in keys], dtype=np.int64
-        ),
-    }
-    meta = dict(meta or {})
-    meta["stream_keys"] = keys
-    tmp = f"{os.fspath(path)}.tmp"
-    save_artifact(state, tmp, kind=GATEWAY_KIND, meta=meta)
-    os.replace(tmp, path)
-
-
-def load_gateway_checkpoint(
-    path: str | os.PathLike, detector: CombinedDetector | None = None
-) -> GatewayCheckpoint:
-    """Restore a gateway checkpoint; every shard resumes bit-identically.
-
-    Pass ``detector`` to re-attach to an already-loaded framework;
-    otherwise the embedded copy is restored.
-    """
-    state = load_artifact(path, kind=GATEWAY_KIND)
-    meta = read_meta(path)["meta"]
-    if detector is None:
-        detector = CombinedDetector.from_state(state["detector"])
-    num_shards = int(state["num_shards"])
-    shards = state["shards"]
-    if sorted(shards) != [str(i) for i in range(num_shards)]:
-        raise ArtifactError(
-            f"gateway checkpoint names {sorted(shards)} shards, expected "
-            f"{num_shards}"
-        )
-    engines = [
-        StreamEngine.from_state(detector, shards[str(i)]) for i in range(num_shards)
-    ]
-    keys = list(meta.pop("stream_keys", []))
-    shard_idx = np.asarray(state["binding_shards"], dtype=np.int64)
-    stream_ids = np.asarray(state["binding_streams"], dtype=np.int64)
-    if not (len(keys) == shard_idx.shape[0] == stream_ids.shape[0]):
-        raise ArtifactError("gateway checkpoint binding table is torn")
-    bindings: dict[str, tuple[int, int]] = {}
-    for key, shard, stream_id in zip(keys, shard_idx, stream_ids):
-        shard, stream_id = int(shard), int(stream_id)
-        if not 0 <= shard < num_shards:
-            raise ArtifactError(f"binding {key!r} names missing shard {shard}")
-        if stream_id not in engines[shard].stream_ids:
-            raise ArtifactError(
-                f"binding {key!r} names stream {stream_id} not present in "
-                f"shard {shard}"
-            )
-        bindings[key] = (shard, stream_id)
-    return GatewayCheckpoint(
-        detector=detector, engines=engines, bindings=bindings, meta=meta
-    )
-
-
-# ----------------------------------------------------------------------
-# routed gateway checkpoints: per-shard engine pools keyed by model route
-# ----------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class RouteBinding:
-    """One stream key's home in a routed (heterogeneous) gateway.
-
-    ``seq_base`` is the number of packages judged by *earlier* model
-    versions on this key (hot-swaps reset the engine-side counter); the
-    stream's resume offset is ``seq_base + packages_seen``.
-
-    ``protocol`` records the wire dialect the stream last spoke (see
-    :mod:`repro.serve.protocols`) — transport provenance, not routing
-    identity; a reconnect may negotiate a different dialect.
-    """
-
-    shard: int
-    scenario: str
-    version: int
-    stream_id: int
-    seq_base: int = 0
-    protocol: str = "modbus"
-
-    @property
-    def route(self) -> tuple[str, int]:
-        return (self.scenario, self.version)
-
-    @property
-    def label(self) -> str:
-        return route_label(self.scenario, self.version)
-
-
-@dataclass
-class RoutedGatewayCheckpoint:
-    """A restored heterogeneous gateway: engine pools plus route table."""
-
-    shards: list[dict[tuple[str, int], StreamEngine]]
-    bindings: dict[str, RouteBinding]
-    meta: dict[str, Any]
-
-
-def route_label(scenario: str, version: int) -> str:
-    """Canonical ``scenario@version`` label used in checkpoints/stats."""
+def route_label(scenario: str | None, version: int | None) -> str:
+    """Canonical label of one pool slot in checkpoints, stats and the
+    worker pipe: ``scenario@version``, or :data:`SINGLE_LABEL`."""
+    if scenario is None:
+        return SINGLE_LABEL
     return f"{scenario}@{int(version)}"
 
 
-def parse_route_label(label: str) -> tuple[str, int]:
+def parse_route_label(label: str) -> Route:
+    """Invert :func:`route_label`."""
+    if label == SINGLE_LABEL:
+        return SINGLE_ROUTE
     scenario, sep, version = label.rpartition("@")
     if not sep or not scenario:
         raise ArtifactError(f"malformed route label {label!r}")
@@ -316,35 +172,88 @@ def parse_route_label(label: str) -> tuple[str, int]:
         raise ArtifactError(f"malformed route label {label!r}") from exc
 
 
-def save_routed_gateway_checkpoint(
+@dataclass(slots=True)
+class RouteBinding:
+    """One stream key's live home in a gateway: shard, model route and
+    engine row.
+
+    Mutable on purpose: a hot-swap rewrites ``version``/``stream_id``/
+    ``seq_base`` in place, and every live session holding the binding
+    follows.  ``seq_base`` counts packages judged by *earlier* model
+    versions on this key, so the stream's resume offset is
+    ``seq_base + packages_seen``.  A single-model gateway binds every
+    key to :data:`SINGLE_ROUTE`.
+
+    ``protocol`` records the wire dialect the stream last spoke (see
+    :mod:`repro.serve.protocols`) — transport provenance, not routing
+    identity; a reconnect may negotiate a different dialect.
+    """
+
+    shard: int
+    scenario: str | None
+    version: int | None
+    stream_id: int
+    seq_base: int = 0
+    protocol: str = "modbus"
+
+    @property
+    def route_key(self) -> Route:
+        return (self.scenario, self.version)
+
+    @property
+    def label(self) -> str:
+        return route_label(self.scenario, self.version)
+
+
+@dataclass
+class GatewayCheckpoint:
+    """A restored gateway: engine pools, route table and meta.
+
+    ``pools`` holds one ``{route: engine}`` dict per shard.  ``detector``
+    is the model of a single-model gateway and ``None`` for a registry
+    gateway.
+    """
+
+    pools: list[dict[Route, StreamEngine]]
+    bindings: dict[str, RouteBinding]
+    meta: dict[str, Any]
+    detector: CombinedDetector | None = None
+
+
+def save_gateway_checkpoint(
     path: str | os.PathLike,
-    shards: "list[dict[tuple[str, int], StreamEngine]]",
+    pools: list[dict[str, dict[str, Any]]],
     bindings: dict[str, RouteBinding],
     meta: dict[str, Any] | None = None,
+    detector: CombinedDetector | None = None,
 ) -> None:
-    """Snapshot a registry-backed gateway atomically.
+    """Snapshot a sharded gateway atomically.
 
-    Unlike the single-detector format, no model weights are embedded:
-    every engine is keyed by its ``(scenario, version)`` registry route,
-    and restore re-loads those exact artifacts from the registry.  The
-    checkpoint is therefore small (recurrent states + route table) and
-    the registry stays the single source of model truth.
+    ``pools`` holds each shard's engine states keyed by route label, as
+    :meth:`repro.serve.workers.EnginePool.snapshot` returns them, and
+    ``bindings`` the stream-key route table.  A single-model gateway
+    passes its ``detector``, which is embedded.  A registry gateway
+    embeds no weights: restore re-loads each engine's exact
+    ``(scenario, version)`` artifact from the registry, which stays the
+    single source of model truth.  The write goes through a
+    same-directory temp file and ``os.replace`` so a crash
+    mid-checkpoint can never leave a torn artifact where the previous
+    good one stood.
     """
     keys = sorted(bindings)
     for key in keys:
         binding = bindings[key]
-        if not 0 <= binding.shard < len(shards):
+        if not 0 <= binding.shard < len(pools):
             raise ValueError(
-                f"binding {key!r} names shard {binding.shard} of {len(shards)}"
+                f"binding {key!r} names shard {binding.shard} of {len(pools)}"
             )
-        pool = shards[binding.shard]
-        engine = pool.get(binding.route)
+        engine = pools[binding.shard].get(binding.label)
         if engine is None:
             raise ValueError(
                 f"binding {key!r} names route {binding.label} absent from "
                 f"shard {binding.shard}"
             )
-        if binding.stream_id not in engine.stream_ids:
+        if binding.stream_id not in np.asarray(engine["stream_ids"]):
             raise ValueError(
                 f"binding {key!r} names stream {binding.stream_id} not "
                 f"attached to route {binding.label} on shard {binding.shard}"
@@ -352,14 +261,8 @@ def save_routed_gateway_checkpoint(
         if binding.seq_base < 0:
             raise ValueError(f"binding {key!r} has negative seq_base")
     state: dict[str, Any] = {
-        "num_shards": len(shards),
-        "shards": {
-            str(i): {
-                route_label(*route): engine.state_dict()
-                for route, engine in pool.items()
-            }
-            for i, pool in enumerate(shards)
-        },
+        "num_shards": len(pools),
+        "shards": {str(i): pool for i, pool in enumerate(pools)},
         "binding_shards": np.array(
             [bindings[k].shard for k in keys], dtype=np.int64
         ),
@@ -370,53 +273,117 @@ def save_routed_gateway_checkpoint(
             [bindings[k].seq_base for k in keys], dtype=np.int64
         ),
     }
+    if detector is not None:
+        state["detector"] = detector.state_dict()
     meta = dict(meta or {})
     meta["stream_keys"] = keys
     meta["stream_routes"] = [bindings[k].label for k in keys]
     meta["stream_protocols"] = [bindings[k].protocol for k in keys]
     tmp = f"{os.fspath(path)}.tmp"
-    save_artifact(state, tmp, kind=ROUTED_GATEWAY_KIND, meta=meta)
+    save_artifact(state, tmp, kind=GATEWAY_KIND, meta=meta)
     os.replace(tmp, path)
 
 
-def load_routed_gateway_checkpoint(
-    path: str | os.PathLike,
-    resolver: "Any",
-) -> RoutedGatewayCheckpoint:
-    """Restore a routed gateway checkpoint bit-identically.
+def _upgrade_single_detector(state: dict[str, Any], meta: dict[str, Any]) -> None:
+    """Rewrite an :data:`OLD_GATEWAY_KIND` file's contents, in place, into
+    the layout :func:`save_gateway_checkpoint` writes.
 
-    ``resolver(scenario, version)`` must return the
-    :class:`CombinedDetector` for an exact registry route — normally
-    :meth:`repro.registry.ModelRegistry.load` (or a
-    :class:`~repro.registry.ScenarioRouter`'s ``load``).  Exact versions
-    are required: restoring against "whatever is active now" would
-    resume recurrent states under a different model.
+    Each shard's one engine becomes its :data:`SINGLE_LABEL` slot.
+    Every seq base is 0, because single-model gateways never hot-swap.
+    The old binding table has no protocol column; each stream's dialect
+    comes from the ``routes`` meta those files carry.
     """
-    state = load_artifact(path, kind=ROUTED_GATEWAY_KIND)
-    meta = read_meta(path)["meta"]
+    if isinstance(state.get("shards"), dict):
+        state["shards"] = {
+            index: {SINGLE_LABEL: engine}
+            for index, engine in state["shards"].items()
+        }
+    keys = list(meta.get("stream_keys", []))
+    routes = meta.get("routes") or {}
+    state["binding_seq_bases"] = np.zeros(len(keys), dtype=np.int64)
+    meta["stream_routes"] = [SINGLE_LABEL] * len(keys)
+    meta["stream_protocols"] = [
+        str((routes.get(key) or {}).get("protocol") or "modbus") for key in keys
+    ]
+
+
+def load_gateway_checkpoint(
+    path: str | os.PathLike,
+    detector: CombinedDetector | None = None,
+    resolver: Callable[[str, int], CombinedDetector] | None = None,
+) -> GatewayCheckpoint:
+    """Restore a gateway checkpoint; every shard resumes bit-identically.
+
+    A single-model checkpoint restores its embedded detector, or
+    re-attaches to ``detector`` when one is passed.  A registry
+    checkpoint needs ``resolver(scenario, version)`` to return the
+    :class:`CombinedDetector` of an exact registry route — normally
+    :meth:`repro.registry.ModelRegistry.load`.  Exact versions are
+    required: restoring against "whatever is active now" would resume
+    recurrent states under a different model.  A file that does not fit
+    the caller's serving mode is refused with a :class:`ValueError`;
+    a damaged one raises :class:`ArtifactError`.
+    """
+    header = read_meta(path)
+    kind = header["kind"]
+    if kind not in (GATEWAY_KIND, OLD_GATEWAY_KIND):
+        raise ArtifactError(
+            f"{path!s}: expected a gateway checkpoint, found {kind!r}"
+        )
+    state = load_artifact(path, kind=kind)
+    meta = header["meta"]
+    if kind == OLD_GATEWAY_KIND:
+        _upgrade_single_detector(state, meta)
+    missing = {
+        "num_shards", "shards", "binding_shards", "binding_streams",
+        "binding_seq_bases",
+    } - set(state)
+    if missing:
+        raise ArtifactError(
+            f"{path!s}: gateway checkpoint lacks {sorted(missing)}"
+        )
+    single = "detector" in state
     num_shards = int(state["num_shards"])
     shard_states = state["shards"]
-    if sorted(shard_states) != [str(i) for i in range(num_shards)]:
+    if set(shard_states) != {str(i) for i in range(num_shards)}:
         raise ArtifactError(
-            f"routed gateway checkpoint names {sorted(shard_states)} shards, "
+            f"gateway checkpoint names {sorted(shard_states)} shards, "
             f"expected {num_shards}"
         )
-    detectors: dict[tuple[str, int], CombinedDetector] = {}
-
-    def detector_for(route: tuple[str, int]) -> CombinedDetector:
-        if route not in detectors:
-            detectors[route] = resolver(*route)
-        return detectors[route]
-
-    shards: list[dict[tuple[str, int], StreamEngine]] = []
+    for index, pool_state in shard_states.items():
+        if any((label == SINGLE_LABEL) != single for label in pool_state):
+            raise ArtifactError(
+                f"{path!s}: shard {index} slots {sorted(pool_state)} do not "
+                f"fit a checkpoint {'with' if single else 'without'} an "
+                "embedded detector"
+            )
+    if single and resolver is not None:
+        # Refusing beats silently serving one embedded model to an
+        # operator who asked for registry routing.
+        raise ValueError(
+            f"{path} is a single-detector checkpoint; it cannot resume "
+            "under registry=/router= — resume it with detector= (or start "
+            "a fresh registry gateway)"
+        )
+    if not single and resolver is None:
+        raise ValueError(
+            f"{path} is a routed gateway checkpoint; pass registry= (or "
+            "router=) so its model routes can be resolved"
+        )
+    if single and detector is None:
+        detector = CombinedDetector.from_state(state["detector"])
+    detectors: dict[Route, CombinedDetector] = (
+        {SINGLE_ROUTE: detector} if single else {}
+    )
+    pools: list[dict[Route, StreamEngine]] = []
     for i in range(num_shards):
-        pool: dict[tuple[str, int], StreamEngine] = {}
+        pool: dict[Route, StreamEngine] = {}
         for label, engine_state in shard_states[str(i)].items():
             route = parse_route_label(label)
-            pool[route] = StreamEngine.from_state(
-                detector_for(route), engine_state
-            )
-        shards.append(pool)
+            if route not in detectors:
+                detectors[route] = resolver(*route)
+            pool[route] = StreamEngine.from_state(detectors[route], engine_state)
+        pools.append(pool)
     keys = list(meta.pop("stream_keys", []))
     labels = list(meta.pop("stream_routes", []))
     # Pre-protocol checkpoints carry no dialect column: everything they
@@ -433,7 +400,7 @@ def load_routed_gateway_checkpoint(
         == stream_ids.shape[0]
         == seq_bases.shape[0]
     ):
-        raise ArtifactError("routed gateway checkpoint binding table is torn")
+        raise ArtifactError("gateway checkpoint binding table is torn")
     bindings: dict[str, RouteBinding] = {}
     for key, label, protocol, shard, stream_id, seq_base in zip(
         keys, labels, protocols, shard_idx, stream_ids, seq_bases
@@ -451,11 +418,16 @@ def load_routed_gateway_checkpoint(
             raise ArtifactError(
                 f"binding {key!r} names missing shard {binding.shard}"
             )
-        engine = shards[binding.shard].get(binding.route)
+        engine = pools[binding.shard].get(binding.route_key)
         if engine is None or binding.stream_id not in engine.stream_ids:
             raise ArtifactError(
                 f"binding {key!r} names stream {binding.stream_id} of route "
                 f"{binding.label} not present in shard {binding.shard}"
             )
         bindings[key] = binding
-    return RoutedGatewayCheckpoint(shards=shards, bindings=bindings, meta=meta)
+    return GatewayCheckpoint(
+        pools=pools,
+        bindings=bindings,
+        meta=meta,
+        detector=detector if single else None,
+    )

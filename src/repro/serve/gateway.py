@@ -60,10 +60,13 @@ versioned per-scenario detector —
   engine with zero dropped packages, the verdict sequence continuing
   unbroken.
 
-Routed gateways checkpoint their complete route table (and every
-engine pool) through :func:`repro.persistence.save_routed_gateway_checkpoint`;
-restore resolves the exact ``(scenario, version)`` artifacts from the
-registry, so fail-over stays bit-identical in heterogeneous mode too.
+A single-model gateway is a one-route gateway: every stream binds to
+the pool slot :data:`~repro.persistence.SINGLE_ROUTE`.  Both kinds
+checkpoint their engine pools and route table through
+:func:`repro.persistence.save_gateway_checkpoint`; a single-model file
+also embeds the detector, while a routed restore resolves the exact
+``(scenario, version)`` artifacts from the registry, so fail-over stays
+bit-identical in heterogeneous mode too.
 
 The module is std-lib asyncio only; :func:`start_in_thread` runs a
 gateway on a background event loop for tests, benchmarks and notebooks.
@@ -83,13 +86,12 @@ from repro.ics.modbus import CrcError
 from repro.obs.incidents import IncidentCorrelator
 from repro.obs.monitors import DriftMonitorBank
 from repro.persistence import (
-    ROUTED_GATEWAY_KIND,
-    EngineStateView,
+    SINGLE_LABEL,
+    SINGLE_ROUTE,
+    Route,
     RouteBinding,
     load_gateway_checkpoint,
-    load_routed_gateway_checkpoint,
     save_gateway_checkpoint,
-    save_routed_gateway_checkpoint,
 )
 from repro.registry.router import RoutingError, ScenarioRouter
 from repro.serve.alerts import AlertPipeline
@@ -106,19 +108,14 @@ from repro.serve.transport import (
     TransportError,
 )
 from repro.serve.workers import (
-    SINGLE_LABEL,
-    SINGLE_ROUTE,
     STATE_BLOB_KIND,
     EnginePool,
-    Route,
     WorkerError,
     WorkerHandle,
     WorkerPool,
     encode_init,
-    pool_label,
-    pool_route,
 )
-from repro.utils.artifact import read_meta, state_to_bytes
+from repro.utils.artifact import state_to_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.combined import CombinedDetector
@@ -216,44 +213,6 @@ class GatewayConfig:
         return self
 
 
-class _Route:
-    """One stream key's live binding: shard, model route, engine row.
-
-    Mutable on purpose: a hot-swap rewrites ``version``/``stream_id``/
-    ``seq_base`` in place, and every live session holding this object
-    follows automatically.  ``seq_base`` counts packages judged by
-    earlier versions, so ``seq_base + engine.packages_seen(stream_id)``
-    is always the stream's next expected wire sequence number.
-    """
-
-    __slots__ = (
-        "shard", "scenario", "version", "stream_id", "seq_base", "protocol"
-    )
-
-    def __init__(
-        self,
-        shard: int,
-        scenario: str | None,
-        version: int | None,
-        stream_id: int,
-        seq_base: int = 0,
-        protocol: str = "modbus",
-    ) -> None:
-        self.shard = shard
-        self.scenario = scenario
-        self.version = version
-        self.stream_id = stream_id
-        self.seq_base = seq_base
-        #: Wire dialect of the stream's last connection (refreshed on
-        #: every OPEN — protocol is transport provenance, not routing
-        #: identity, so a site may migrate dialects between connects).
-        self.protocol = protocol
-
-    @property
-    def route_key(self) -> tuple[str | None, int | None]:
-        return (self.scenario, self.version)
-
-
 class _Session:
     """One live client connection."""
 
@@ -261,7 +220,7 @@ class _Session:
         self.writer = writer
         self.key: str | None = None
         self.shard: "_Shard | None" = None
-        self.route: _Route | None = None
+        self.route: RouteBinding | None = None
         self.probe: list[tuple[int, "Package"]] = []
         self.next_seq = 0
         self.evicted = False
@@ -428,7 +387,7 @@ class DetectionGateway:
         monitors: "DriftMonitorBank | bool | None" = None,
         tracer: "Tracer | None" = None,
         _pools: "list[dict[Route, StreamEngine]] | None" = None,
-        _routes: "dict[str, _Route] | None" = None,
+        _routes: "dict[str, RouteBinding] | None" = None,
     ) -> None:
         self.config = (config or GatewayConfig()).validate()
         if router is None and registry is not None:
@@ -508,7 +467,7 @@ class DetectionGateway:
             for i, engines in enumerate(_pools)
         ]
         #: stream key -> live route; sticky across reconnects.
-        self._bindings: dict[str, _Route] = dict(_routes or {})
+        self._bindings: dict[str, RouteBinding] = dict(_routes or {})
         for route in self._bindings.values():
             self._shards[route.shard].bound_streams += 1
         self._live: dict[str, _Session] = {}
@@ -565,74 +524,31 @@ class DetectionGateway:
         optionally take ``detector`` to skip the embedded copy; routed
         checkpoints *require* ``registry=`` (or a prebuilt ``router=``)
         to resolve the exact ``(scenario, version)`` artifacts their
-        engine pools reference.  ``incidents``/``monitors`` mirror the
-        constructor (pass ``False`` to keep a plane disabled on resume —
-        checkpoint meta for a disabled plane is ignored, not lost).
+        engine pools reference.  ``model_info`` defaults to the one the
+        checkpointed gateway served with.  ``incidents``/``monitors``
+        mirror the constructor (pass ``False`` to keep a plane disabled
+        on resume — checkpoint meta for a disabled plane is ignored, not
+        lost).
         """
-        kind = read_meta(path)["kind"]
-        if kind == ROUTED_GATEWAY_KIND:
-            if router is None and registry is not None:
-                router = ScenarioRouter(registry)
-            if router is None:
-                raise ValueError(
-                    f"{path} is a routed gateway checkpoint; pass registry= "
-                    "(or router=) so its model routes can be resolved"
-                )
-            restored = load_routed_gateway_checkpoint(path, router.load)
-            detector, meta = None, restored.meta
-            pools = restored.shards
-            routes = {
-                key: _Route(
-                    binding.shard,
-                    binding.scenario,
-                    binding.version,
-                    binding.stream_id,
-                    binding.seq_base,
-                    protocol=binding.protocol,
-                )
-                for key, binding in restored.bindings.items()
-            }
-        else:
-            if registry is not None or router is not None:
-                # A single-detector checkpoint cannot come up as a routed
-                # gateway: refusing beats silently serving one embedded
-                # model to an operator who asked for registry routing.
-                raise ValueError(
-                    f"{path} is a single-detector checkpoint ({kind}); it "
-                    "cannot resume under registry=/router= — resume it with "
-                    "detector= (or start a fresh registry gateway)"
-                )
-            single = load_gateway_checkpoint(path, detector)
-            detector, meta = single.detector, single.meta
-            pools = [{SINGLE_ROUTE: engine} for engine in single.engines]
-            # The single-detector binding table has no protocol column;
-            # the per-stream dialect rides the checkpoint meta instead.
-            protocols = meta.get("routes") or {}
-            routes = {
-                key: _Route(
-                    shard,
-                    None,
-                    None,
-                    stream_id,
-                    protocol=str(
-                        protocols.get(key, {}).get("protocol") or "modbus"
-                    ),
-                )
-                for key, (shard, stream_id) in single.bindings.items()
-            }
+        if router is None and registry is not None:
+            router = ScenarioRouter(registry)
+        restored = load_gateway_checkpoint(
+            path, detector, None if router is None else router.load
+        )
+        meta = restored.meta
         gateway = cls(
-            detector,
-            replace(config or GatewayConfig(), num_shards=len(pools)),
+            restored.detector,
+            replace(config or GatewayConfig(), num_shards=len(restored.pools)),
             alerts,
             router=router,
-            model_info=model_info,
+            model_info=meta.get("model") if model_info is None else model_info,
             metrics=metrics,
             historian=historian,
             incidents=incidents,
             monitors=monitors,
             tracer=tracer,
-            _pools=pools,
-            _routes=routes,
+            _pools=restored.pools,
+            _routes=restored.bindings,
         )
         gateway._restore_transport_stats(meta)
         gateway._restore_obs_state(meta)
@@ -717,31 +633,40 @@ class DetectionGateway:
             shard.pool = WorkerPool(handle)
 
     async def start(self) -> None:
-        """Bind the listening socket and launch the shard workers."""
+        """Bind the listening socket and launch the shard workers.
+
+        A start that fails part-way releases what it started (shard
+        tasks, worker processes, the registry subscription) through
+        :meth:`stop` before the error propagates.
+        """
         if self._server is not None:
             raise RuntimeError("gateway already started")
         loop = asyncio.get_running_loop()
         self._loop = loop
-        for scenario, version in self._early_swaps.items():
-            await self._apply_swap(scenario, version)
-        self._early_swaps.clear()
-        if self.config.worker_mode == "process":
-            await self._start_worker_processes()
-        self._workers = [loop.create_task(shard.run()) for shard in self._shards]
-        if self._router is not None:
-            # In-process publishes/promotes hot-swap immediately; the
-            # poll task additionally picks up activations performed by
-            # other processes (e.g. `repro registry promote`).
-            def listener(scenario: str, version: int) -> None:
-                loop.call_soon_threadsafe(self._maybe_swap, scenario)
+        try:
+            for scenario, version in self._early_swaps.items():
+                await self._apply_swap(scenario, version)
+            self._early_swaps.clear()
+            if self.config.worker_mode == "process":
+                await self._start_worker_processes()
+            self._workers = [loop.create_task(shard.run()) for shard in self._shards]
+            if self._router is not None:
+                # In-process publishes/promotes hot-swap immediately; the
+                # poll task additionally picks up activations performed by
+                # other processes (e.g. `repro registry promote`).
+                def listener(scenario: str, version: int) -> None:
+                    loop.call_soon_threadsafe(self._maybe_swap, scenario)
 
-            self._registry_listener = listener
-            self._router.registry.subscribe(listener)
-            if self.config.registry_poll_seconds > 0:
-                self._workers.append(loop.create_task(self._watch_registry()))
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+                self._registry_listener = listener
+                self._router.registry.subscribe(listener)
+                if self.config.registry_poll_seconds > 0:
+                    self._workers.append(loop.create_task(self._watch_registry()))
+            self._server = await asyncio.start_server(
+                self._handle_connection, self.config.host, self.config.port
+            )
+        except BaseException:
+            await self.stop(checkpoint=False)
+            raise
 
     @property
     def address(self) -> tuple[str, int]:
@@ -984,7 +909,9 @@ class DetectionGateway:
             self.config.max_write_buffer,
         )
 
-    async def _route_packages_seen(self, shard: _Shard, route: _Route) -> int:
+    async def _route_packages_seen(
+        self, shard: _Shard, route: RouteBinding
+    ) -> int:
         """Lifetime package count of one route's current engine row."""
         async with shard.lock:
             return await shard.pool.seen(route.route_key, route.stream_id)
@@ -995,7 +922,7 @@ class DetectionGateway:
         scenario_tag: str | None,
         identified: tuple[str, int] | None = None,
         protocol: str = "modbus",
-    ) -> _Route:
+    ) -> RouteBinding:
         """Assign a fresh stream key its shard, model route and engine row."""
         if self._router is None:
             # Homogeneous gateway: one model serves everything; a
@@ -1022,7 +949,9 @@ class DetectionGateway:
         except BaseException:
             shard.bound_streams -= 1
             raise
-        route = _Route(shard.index, scenario, version, stream_id, protocol=protocol)
+        route = RouteBinding(
+            shard.index, scenario, version, stream_id, protocol=protocol
+        )
         self._bindings[key] = route
         return route
 
@@ -1328,49 +1257,22 @@ class DetectionGateway:
                 },
                 **self._obs_state_meta(),
             }
-            if self._router is None:
-                bindings: dict[str, Any] = {
-                    key: (route.shard, route.stream_id)
-                    for key, route in self._bindings.items()
-                }
-            else:
-                bindings = {
-                    key: RouteBinding(
-                        shard=route.shard,
-                        scenario=route.scenario,
-                        version=route.version,
-                        stream_id=route.stream_id,
-                        seq_base=route.seq_base,
-                        protocol=route.protocol,
-                    )
-                    for key, route in self._bindings.items()
-                }
+            if self._model_info:
+                meta["model"] = dict(self._model_info)
+            # Copies: a hot-swap may rewrite live routes during the write.
+            bindings = {
+                key: replace(route) for key, route in self._bindings.items()
+            }
             pools = [await shard.pool.snapshot() for shard in self._shards]
             self._since_checkpoint = 0
-        if self._router is None:
-            assert self.detector is not None
-            await asyncio.to_thread(
-                save_gateway_checkpoint,
-                path,
-                self.detector,
-                [EngineStateView(pool[SINGLE_LABEL]) for pool in pools],
-                bindings,
-                meta=meta,
-            )
-        else:
-            await asyncio.to_thread(
-                save_routed_gateway_checkpoint,
-                path,
-                [
-                    {
-                        pool_route(label): EngineStateView(state)
-                        for label, state in pool.items()
-                    }
-                    for pool in pools
-                ],
-                bindings,
-                meta=meta,
-            )
+        await asyncio.to_thread(
+            save_gateway_checkpoint,
+            path,
+            pools,
+            bindings,
+            meta=meta,
+            detector=self.detector,
+        )
         self._checkpoints_written += 1
         if self._m_checkpoint_timer is not None:
             self._m_checkpoint_timer.observe(perf_counter() - started)
@@ -1401,7 +1303,7 @@ class DetectionGateway:
         routes: dict[str, dict[str, Any]] = {}
         fallback = (self._model_info or {}).get("scenario")
         for key, route in self._bindings.items():
-            entry = pools[route.shard].get(pool_label(*route.route_key))
+            entry = pools[route.shard].get(route.label)
             seen = entry["streams"].get(str(route.stream_id), 0) if entry else 0
             routes[key] = {
                 "scenario": (
@@ -1536,6 +1438,7 @@ def start_in_thread(
             loop.run_until_complete(gateway.start())
         except BaseException as exc:  # noqa: BLE001 - reported to caller
             failure.append(exc)
+            loop.close()
             started.set()
             return
         started.set()
@@ -1549,5 +1452,6 @@ def start_in_thread(
     thread.start()
     started.wait()
     if failure:
+        thread.join()
         raise failure[0]
     return GatewayHandle(gateway, loop, thread)

@@ -47,12 +47,20 @@ import queue
 import struct
 import threading
 import traceback
-import zipfile
 from concurrent.futures import Future
 from dataclasses import asdict
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
+# The route codec is shared with checkpoints; SINGLE_LABEL and
+# SINGLE_ROUTE stay importable from here.
+from repro.persistence import (
+    SINGLE_LABEL,
+    SINGLE_ROUTE,
+    Route,
+    parse_route_label,
+    route_label,
+)
 from repro.serve.transport import decode_stream_data, encode_stream_data
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -60,17 +68,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.stream_engine import StreamEngine
     from repro.ics.features import Package
     from repro.obs.metrics import MetricsRegistry
-
-#: Model route of one engine-pool slot: ``(scenario, version)``.
-Route = tuple["str | None", "int | None"]
-
-#: Route of the lone engine slot in single-detector mode.
-SINGLE_ROUTE: Route = (None, None)
-
-#: Pool label of the lone engine slot in single-detector mode.  Routed
-#: labels are ``scenario@version`` (always contain ``@``), so the bare
-#: word can never collide with a real route.
-SINGLE_LABEL = "default"
 
 #: Kind tag of engine-state blobs crossing the pipe.
 STATE_BLOB_KIND = "worker-engine-pool"
@@ -190,7 +187,7 @@ class EnginePool:
     async def snapshot(self) -> dict[str, dict[str, Any]]:
         """``{pool label: engine state dict}``; the arrays are copies."""
         return {
-            pool_label(*route): engine.state_dict()
+            route_label(*route): engine.state_dict()
             for route, engine in self.engines.items()
         }
 
@@ -198,7 +195,7 @@ class EnginePool:
         """``{pool label: {"stats": EngineStats dict, "streams":
         {str(stream id): packages seen}}}`` — JSON-ready as it stands."""
         return {
-            pool_label(*route): {
+            route_label(*route): {
                 "stats": asdict(engine.stats),
                 "streams": {
                     str(sid): engine.packages_seen(sid)
@@ -215,25 +212,6 @@ class EnginePool:
 # ----------------------------------------------------------------------
 # framing helpers (shared by both pipe ends)
 # ----------------------------------------------------------------------
-
-
-def pool_label(scenario: str | None, version: int | None) -> str:
-    """Wire label of one engine-pool slot (route or the single slot)."""
-    if scenario is None:
-        return SINGLE_LABEL
-    assert version is not None
-    from repro.persistence import route_label
-
-    return route_label(scenario, version)
-
-
-def pool_route(label: str) -> Route:
-    """Invert :func:`pool_label`."""
-    if label == SINGLE_LABEL:
-        return SINGLE_ROUTE
-    from repro.persistence import parse_route_label
-
-    return parse_route_label(label)
 
 
 def _put_str(buf: bytearray, text: str) -> None:
@@ -376,7 +354,7 @@ def decode_swap(resp: bytes) -> tuple[int, int]:
 
 def decode_snapshot(resp: bytes) -> dict[str, Any]:
     """The worker's engine pool as ``{label: engine_state_dict}``."""
-    from repro.utils.artifact import state_from_bytes
+    from repro.utils.artifact import ArtifactError, state_from_bytes
 
     body = _response_body(resp, OP_SNAPSHOT)
     if len(body) < _U32.size or len(body) != _U32.size + _U32.unpack_from(body)[0]:
@@ -386,7 +364,7 @@ def decode_snapshot(resp: bytes) -> dict[str, Any]:
         )
     try:
         return state_from_bytes(bytes(body[_U32.size :]), kind=STATE_BLOB_KIND)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+    except ArtifactError as exc:
         raise WorkerError(f"corrupt snapshot blob: {exc}") from exc
 
 
@@ -449,7 +427,7 @@ def _init_pool(msg: memoryview) -> EnginePool:
     pool_blob, offset = _get_block(msg, offset)
     engines = {}
     for label, state in state_from_bytes(pool_blob, kind=STATE_BLOB_KIND).items():
-        route = pool_route(label)
+        route = parse_route_label(label)
         engines[route] = StreamEngine.from_state(detector_for(route), state)
     return EnginePool(detector_for, engines)
 
@@ -463,12 +441,12 @@ def serve_request(pool: EnginePool, msg: bytes) -> bytes:
     if op == OP_ATTACH:
         label, _ = _get_str(view, 1)
         return OP_ATTACH.lower() + _U32.pack(
-            _complete(pool.attach(pool_route(label)))
+            _complete(pool.attach(parse_route_label(label)))
         )
     if op == OP_SEEN:
         label, offset = _get_str(view, 1)
         (stream_id,) = _U32.unpack_from(view, offset)
-        seen = _complete(pool.seen(pool_route(label), stream_id))
+        seen = _complete(pool.seen(parse_route_label(label), stream_id))
         return OP_SEEN.lower() + _U64.pack(seen)
     if op == OP_SWAP:
         scenario, offset = _get_str(view, 1)
@@ -502,7 +480,7 @@ def _serve_observe(pool: EnginePool, msg: memoryview) -> bytes:
             offset += _U32.size
             record, offset = _get_block(msg, offset)
             batch[stream_id] = decode_stream_data(record).package
-        groups.append((pool_route(label), batch))
+        groups.append((parse_route_label(label), batch))
     results, stages = _complete(pool.observe(groups, traced=True))
     out = bytearray(OP_OBSERVE.lower())
     for verdicts, levels in results:
@@ -710,7 +688,7 @@ class WorkerPool:
         request = encode_observe(
             [
                 (
-                    pool_label(*route),
+                    route_label(*route),
                     [(sid, encode_stream_data(pkg, 0)) for sid, pkg in batch.items()],
                 )
                 for route, batch in groups
@@ -737,12 +715,12 @@ class WorkerPool:
 
     async def attach(self, route: Route) -> int:
         return decode_attach(
-            await self._handle.call(encode_attach(pool_label(*route)))
+            await self._handle.call(encode_attach(route_label(*route)))
         )
 
     async def seen(self, route: Route, stream_id: int) -> int:
         return decode_seen(
-            await self._handle.call(encode_seen(pool_label(*route), stream_id))
+            await self._handle.call(encode_seen(route_label(*route), stream_id))
         )
 
     async def swap(

@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any
-from zipfile import BadZipFile
+from contextlib import contextmanager
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -172,13 +172,33 @@ def state_from_bytes(blob: bytes, kind: str | None = "state-blob") -> dict[str, 
     """Restore a state dict serialized by :func:`state_to_bytes`."""
     import io
 
-    with np.load(io.BytesIO(blob)) as archive:
+    with _reading("<bytes>"), np.load(io.BytesIO(blob)) as archive:
         header = _read_header(archive, "<bytes>")
         if kind is not None and header.get("kind") != kind:
             raise ArtifactError(
                 f"expected a {kind!r} state blob, found {header.get('kind')!r}"
             )
         return _unflatten(header["state"], archive, "")
+
+
+@contextmanager
+def _reading(source: str | os.PathLike) -> Iterator[None]:
+    """Raise every failure to read an artifact as :class:`ArtifactError`.
+
+    Damaged bytes fail in whichever decoder meets them first: zipfile
+    (``BadZipFile``, ``EOFError``, ``RuntimeError`` for a flipped
+    encryption flag, ``NotImplementedError`` for an unknown compression
+    method), zlib (``zlib.error``) or numpy's array-header parser
+    (``ValueError``, ``tokenize.TokenError``).  To a caller they all
+    mean one thing, so they leave as one type.  A missing file stays a
+    ``FileNotFoundError``.
+    """
+    try:
+        yield
+    except (FileNotFoundError, ArtifactError):
+        raise
+    except Exception as exc:  # noqa: BLE001 - translated, see above
+        raise ArtifactError(f"{source!s}: unreadable artifact ({exc})") from exc
 
 
 def _read_header(archive: Any, path: str | os.PathLike) -> dict[str, Any]:
@@ -204,27 +224,22 @@ def load_artifact(
     written under a different schema version, holds a different ``kind``
     than expected, or is missing arrays its header references.
     """
-    try:
-        with np.load(path) as archive:
-            header = _read_header(archive, path)
-            version = header.get("version")
-            if version != ARTIFACT_VERSION:
-                raise ArtifactError(
-                    f"{path!s}: artifact schema version {version} does not "
-                    f"match this build ({ARTIFACT_VERSION}); regenerate it"
-                )
-            if kind is not None and header.get("kind") != kind:
-                raise ArtifactError(
-                    f"{path!s}: expected a {kind!r} artifact, found "
-                    f"{header.get('kind')!r}"
-                )
-            return _unflatten(header["state"], archive, "")
-    except (FileNotFoundError, ArtifactError):
-        raise
-    # np.load raises BadZipFile on torn zip containers and a plain
-    # ValueError on files that are not npz archives at all.
-    except (OSError, BadZipFile, ValueError) as exc:
-        raise ArtifactError(f"{path!s}: unreadable artifact ({exc})") from exc
+    # np.load(path) leaves the file it opened unclosed when the zip
+    # reader rejects it, so the handle is opened (and closed) here.
+    with _reading(path), open(path, "rb") as handle, np.load(handle) as archive:
+        header = _read_header(archive, path)
+        version = header.get("version")
+        if version != ARTIFACT_VERSION:
+            raise ArtifactError(
+                f"{path!s}: artifact schema version {version} does not "
+                f"match this build ({ARTIFACT_VERSION}); regenerate it"
+            )
+        if kind is not None and header.get("kind") != kind:
+            raise ArtifactError(
+                f"{path!s}: expected a {kind!r} artifact, found "
+                f"{header.get('kind')!r}"
+            )
+        return _unflatten(header["state"], archive, "")
 
 
 def read_meta(path: str | os.PathLike) -> dict[str, Any]:
@@ -233,13 +248,8 @@ def read_meta(path: str | os.PathLike) -> dict[str, Any]:
     Returns ``{"kind", "version", "meta"}``; useful for inspection
     tooling and for resuming checkpoints that carry provenance.
     """
-    try:
-        with np.load(path) as archive:
-            header = _read_header(archive, path)
-    except (FileNotFoundError, ArtifactError):
-        raise
-    except (OSError, BadZipFile, ValueError) as exc:
-        raise ArtifactError(f"{path!s}: unreadable artifact ({exc})") from exc
+    with _reading(path), open(path, "rb") as handle, np.load(handle) as archive:
+        header = _read_header(archive, path)
     return {
         "kind": header.get("kind"),
         "version": header.get("version"),

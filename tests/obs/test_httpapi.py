@@ -270,6 +270,7 @@ class TestOverSockets:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 urllib.request.urlopen(f"{base}/nothing", timeout=5)
             assert excinfo.value.code == 404
+            excinfo.value.close()
             # Read-only: non-GET methods are refused.
             request = urllib.request.Request(
                 f"{base}/stats", data=b"x", method="POST"
@@ -279,6 +280,7 @@ class TestOverSockets:
             assert excinfo.value.code == 405
             # ... and say what IS allowed, per RFC 9110.
             assert excinfo.value.headers["Allow"] == "GET, HEAD"
+            excinfo.value.close()
             with urllib.request.urlopen(f"{base}/healthz", timeout=5) as resp:
                 assert json.loads(resp.read())["status"] == "ok"
         finally:
@@ -312,6 +314,7 @@ class TestOverSockets:
                 content_type = excinfo.value.headers["Content-Type"]
                 assert content_type.startswith("application/json"), path
                 body = json.loads(excinfo.value.read())
+                excinfo.value.close()
                 assert body["status"] == excinfo.value.code, path
                 assert body["error"], path
         finally:

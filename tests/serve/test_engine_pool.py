@@ -8,13 +8,17 @@
   field — single-detector and routed (with a hot-swap) alike.
 - A promote requested before ``start()`` lands when the gateway starts.
 - Losing one shard worker does not take shutdown down with it.
+- A start that fails releases everything it started.
 """
 
 from __future__ import annotations
 
+import gc
 import multiprocessing
+import socket
 import threading
 import time
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -23,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import Historian
+from repro.persistence import route_label
 from repro.registry import ModelRegistry
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient
@@ -42,7 +47,6 @@ from repro.serve.workers import (
     encode_observe,
     encode_seen,
     encode_swap,
-    pool_label,
     serve_request,
 )
 from repro.utils.artifact import load_artifact, read_meta
@@ -77,7 +81,7 @@ def exchanges(detector, capture, streams, steps, offset):
     """
     pool = EnginePool(lambda route: detector)
     reference = detector.engine(0)
-    label = pool_label(*V1)
+    label = route_label(*V1)
     for _ in range(streams):
         expected = reference.attach()
         yield (
@@ -366,3 +370,59 @@ class TestDeadShardWorker:
             assert stats["shards"][1]["packages"] == 0
         finally:
             historian.close()
+
+
+# ----------------------------------------------------------------------
+# a start that fails
+# ----------------------------------------------------------------------
+
+
+class TestFailedStart:
+    @pytest.mark.parametrize("routed", [False, True], ids=["single", "routed"])
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_failed_start_releases_what_it_started(
+        self, mode, routed, detector, scenario_detectors, tmp_path
+    ):
+        """Binding a held port fails after the shard tasks, the worker
+        processes and the registry subscription exist: none of them may
+        outlive the error, and the loop is closed."""
+        registry = None
+        if routed:
+            registry = ModelRegistry(tmp_path / "registry")
+            registry.publish(scenario_detectors["gas_pipeline"], "gas_pipeline")
+        gc.collect()
+        threads_before = set(threading.enumerate())
+        workers_before = set(shard_workers().values())
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            gateway = DetectionGateway(
+                None if routed else detector,
+                GatewayConfig(
+                    port=held.getsockname()[1], num_shards=2, worker_mode=mode
+                ),
+                registry=registry,
+            )
+            with pytest.raises(OSError):
+                start_in_thread(None, gateway=gateway)
+        assert not [
+            proc
+            for proc in shard_workers().values()
+            if proc not in workers_before and proc.is_alive()
+        ]
+        assert not [
+            thread.name
+            for thread in set(threading.enumerate()) - threads_before
+            if thread.name.startswith("repro-")
+        ]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            del gateway
+            gc.collect()
+        assert not [
+            w for w in caught if "unclosed event loop" in str(w.message)
+        ]
+        if routed:
+            assert registry._listeners == []
+            # A publish after the failure must not call into the dead loop.
+            registry.publish(scenario_detectors["gas_pipeline"], "gas_pipeline")

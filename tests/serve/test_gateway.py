@@ -16,7 +16,13 @@ import time
 import numpy as np
 import pytest
 
-from repro.persistence import load_gateway_checkpoint, save_gateway_checkpoint
+from repro.persistence import (
+    SINGLE_LABEL,
+    SINGLE_ROUTE,
+    RouteBinding,
+    load_gateway_checkpoint,
+    save_gateway_checkpoint,
+)
 from repro.serve.alerts import AlertPipeline
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient, ReplayError
@@ -238,11 +244,22 @@ class TestFailover:
         finally:
             handle2.stop()
 
+    @staticmethod
+    def single_pools(engines):
+        return [{SINGLE_LABEL: engine.state_dict()} for engine in engines]
+
+    @staticmethod
+    def bind(shard, stream_id):
+        return RouteBinding(shard, None, None, stream_id)
+
     def test_checkpoint_topology_overrides_config(self, detector, capture, tmp_path):
         path = tmp_path / "gateway.npz"
         engines = [detector.engine(1), detector.engine(0), detector.engine(0)]
         save_gateway_checkpoint(
-            path, detector, engines, {"k": (0, engines[0].stream_ids[0])}
+            path,
+            self.single_pools(engines),
+            {"k": self.bind(0, engines[0].stream_ids[0])},
+            detector=detector,
         )
         gateway = DetectionGateway.from_checkpoint(
             str(path), GatewayConfig(num_shards=1)
@@ -252,27 +269,34 @@ class TestFailover:
     def test_torn_binding_table_rejected(self, detector, tmp_path):
         path = tmp_path / "gateway.npz"
         engine = detector.engine(1)
+        pools = self.single_pools([engine])
         with pytest.raises(ValueError):
             save_gateway_checkpoint(
-                path, detector, [engine], {"k": (0, 999)}  # unattached stream
+                path, pools, {"k": self.bind(0, 999)},  # unattached stream
+                detector=detector,
             )
         with pytest.raises(ValueError):
             save_gateway_checkpoint(
-                path, detector, [engine], {"k": (5, engine.stream_ids[0])}
+                path, pools, {"k": self.bind(5, engine.stream_ids[0])},
+                detector=detector,
             )
 
     def test_gateway_checkpoint_roundtrip(self, detector, tmp_path):
         path = tmp_path / "gateway.npz"
         engines = [detector.engine(2), detector.engine(1)]
         bindings = {
-            "a": (0, engines[0].stream_ids[0]),
-            "b": (0, engines[0].stream_ids[1]),
-            "c": (1, engines[1].stream_ids[0]),
+            "a": self.bind(0, engines[0].stream_ids[0]),
+            "b": self.bind(0, engines[0].stream_ids[1]),
+            "c": self.bind(1, engines[1].stream_ids[0]),
         }
-        save_gateway_checkpoint(path, detector, engines, bindings, meta={"x": 1})
+        save_gateway_checkpoint(
+            path, self.single_pools(engines), bindings, meta={"x": 1},
+            detector=detector,
+        )
         restored = load_gateway_checkpoint(path)
         assert restored.bindings == bindings
-        assert [e.num_streams for e in restored.engines] == [2, 1]
+        assert [len(pool) for pool in restored.pools] == [1, 1]
+        assert [pool[SINGLE_ROUTE].num_streams for pool in restored.pools] == [2, 1]
         assert restored.meta == {"x": 1}
 
     def test_wrong_kind_artifact_rejected(self, detector, tmp_path):

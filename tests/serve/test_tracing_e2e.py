@@ -207,6 +207,7 @@ class TestTracesOverHttp:
                 "application/json"
             )
             body = json.loads(excinfo.value.read())
+            excinfo.value.close()
             assert body["status"] == 400 and "limit" in body["error"]
         finally:
             obs.stop()
@@ -222,6 +223,7 @@ class TestTracesOverHttp:
                     f"http://{host}:{port}/traces/recent", timeout=5
                 )
             assert excinfo.value.code == 404
+            excinfo.value.close()
         finally:
             obs.stop()
             handle.stop()

@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.persistence import parse_route_label, route_label
 from repro.registry import ModelRegistry
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient
@@ -42,8 +43,6 @@ from repro.serve.workers import (
     encode_init,
     encode_observe,
     encode_seen,
-    pool_label,
-    pool_route,
 )
 from repro.utils.artifact import state_from_bytes, state_to_bytes
 
@@ -61,11 +60,11 @@ def process_gateway(detector, **config):
 
 class TestChannelCodec:
     def test_pool_label_round_trips_single_and_routed(self):
-        assert pool_label(None, None) == SINGLE_LABEL
-        assert pool_route(SINGLE_LABEL) == (None, None)
-        label = pool_label("gas_pipeline", 3)
+        assert route_label(None, None) == SINGLE_LABEL
+        assert parse_route_label(SINGLE_LABEL) == (None, None)
+        label = route_label("gas_pipeline", 3)
         assert "@" in label  # can never collide with the single slot
-        assert pool_route(label) == ("gas_pipeline", 3)
+        assert parse_route_label(label) == ("gas_pipeline", 3)
 
     def test_init_frame_requires_exactly_one_mode(self):
         pool = state_to_bytes({}, kind=STATE_BLOB_KIND)
