@@ -8,10 +8,9 @@ fleet start to last verdict, as the site count scales 1 → 4 → 16 → 100.
 
 More sites widen the per-tick engine batches (throughput up) until
 socket/session overhead dominates; the emitted table shows where that
-knee sits for the profile's model size.  Past
-:data:`repro.serve.fleet.AUTO_ASYNC_THRESHOLD` sites the runner's
-``auto`` driver multiplexes every site as a coroutine instead of an OS
-thread — which is what lets the 100-site row exist at all.
+knee sits for the profile's model size.  Every site replays on its own
+OS thread, so the 100-site row runs 100 client threads — the largest
+fleet the repo drives.
 
 Run:  REPRO_PROFILE=ci pytest benchmarks/bench_fleet.py -s
 """
@@ -53,14 +52,12 @@ def test_fleet_throughput(profile):
         ticks = sum(s["ticks"] for s in result.gateway_stats["shards"])
         mean_batch = result.total_packages / ticks if ticks else 0.0
         scenarios = len(result.scenarios_streamed)
-        driver = config.effective_driver()
         rows.append(
-            f"{num_sites:>6}{driver:>9}{scenarios:>11}"
+            f"{num_sites:>6}{scenarios:>11}"
             f"{result.total_packages:>10}{result.packages_per_second:>12.0f}"
             f"{mean_batch:>12.2f}"
         )
         results["sites"][str(num_sites)] = {
-            "driver": driver,
             "scenarios_streamed": list(result.scenarios_streamed),
             "total_packages": result.total_packages,
             "packages_per_sec": result.packages_per_second,
@@ -70,7 +67,7 @@ def test_fleet_throughput(profile):
 
     table = "\n".join(
         [
-            f"{'sites':>6}{'driver':>9}{'scenarios':>11}{'packages':>10}"
+            f"{'sites':>6}{'scenarios':>11}{'packages':>10}"
             f"{'pkg/s':>12}{'rows/tick':>12}"
         ]
         + rows

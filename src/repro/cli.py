@@ -293,14 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
         "process per shard (process)",
     )
     fleet.add_argument(
-        "--driver",
-        choices=("threads", "async", "auto"),
-        default="auto",
-        help="site concurrency: one OS thread per site (threads), "
-        "coroutines on one loop (async), or auto (async above "
-        "16 sites)",
-    )
-    fleet.add_argument(
         "--seed", type=int, default=0, help="base seed for site captures"
     )
     fleet.add_argument(
@@ -1028,7 +1020,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             window=args.window,
             verify_offline=not args.no_verify,
             tag_streams=not args.no_tag,
-            driver=args.driver,
             worker_mode=args.worker_mode,
             protocols=(
                 tuple(p for p in args.protocols.split(",") if p)
@@ -1089,8 +1080,7 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         f"fleet: {len(result.sites)} sites / "
         f"{len(result.scenarios_streamed)} scenarios "
         f"({', '.join(result.scenarios_streamed)}) through "
-        f"{config.num_shards} {config.worker_mode} shard(s), "
-        f"{config.effective_driver()} driver"
+        f"{config.num_shards} {config.worker_mode} shard(s)"
         + (" [heterogeneous]" if result.heterogeneous else "")
     )
     print(
@@ -1152,7 +1142,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             "heterogeneous": result.heterogeneous,
             "shards": config.num_shards,
             "worker_mode": config.worker_mode,
-            "driver": config.effective_driver(),
             "total_packages": result.total_packages,
             "seconds": result.seconds,
             "packages_per_second": result.packages_per_second,

@@ -24,8 +24,9 @@ flushed before the scan so a query always covers every verdict already
 delivered.
 
 Errors come back as JSON bodies — ``{"error": ..., "status": ...}`` —
-with the matching status code (400 on malformed query parameters, 404
-on unknown paths or unattached subsystems), never an HTML traceback.
+with the matching status code (400 on a malformed request target or
+query parameter, including a ``limit`` below 1; 404 on unknown paths or
+unattached subsystems), never an HTML traceback.
 
 The server is **strictly read-only** — every endpoint answers GET (and
 HEAD) only, mutating nothing, so exposing it on an ops network cannot
@@ -45,10 +46,11 @@ from __future__ import annotations
 import asyncio
 import html
 import json
-import threading
 import time
 from typing import TYPE_CHECKING, Any
 from urllib.parse import parse_qs, unquote, urlsplit
+
+from repro.utils.loop_thread import LoopThread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.historian import Historian
@@ -226,7 +228,10 @@ class ObsServer:
                     "read-only API: GET/HEAD only",
                     headers={"Allow": "GET, HEAD"},
                 )
-            split = urlsplit(target)
+            try:
+                split = urlsplit(target)
+            except ValueError as exc:  # e.g. an unclosed "[" IPv6 host
+                raise _HttpError(400, f"malformed request target: {exc}") from exc
             path = unquote(split.path)
             params = {
                 key: values[-1]
@@ -337,9 +342,10 @@ class ObsServer:
             value = int(raw)
         except ValueError as exc:
             raise _HttpError(400, f"{name} must be an integer: {raw!r}") from exc
-        if value < 0:
-            # A negative limit would silently flip python slicing.
-            raise _HttpError(400, f"{name} must be >= 0: {raw!r}")
+        if value < 1:
+            # A limit keeps the newest `limit` items; x[-0:] would keep
+            # them all and a negative value would silently flip the slice.
+            raise _HttpError(400, f"{name} must be >= 1: {raw!r}")
         return value
 
     @staticmethod
@@ -610,53 +616,18 @@ class ObsServer:
 class ObsServerHandle:
     """An :class:`ObsServer` running on its own background event loop."""
 
-    def __init__(
-        self,
-        server: ObsServer,
-        loop: asyncio.AbstractEventLoop,
-        thread: threading.Thread,
-    ) -> None:
+    def __init__(self, server: ObsServer, runner: LoopThread) -> None:
         self.server = server
-        self._loop = loop
-        self._thread = thread
+        self._runner = runner
 
     @property
     def address(self) -> tuple[str, int]:
         return self.server.address
 
     def stop(self, timeout: float = 10.0) -> None:
-        future = asyncio.run_coroutine_threadsafe(
-            self.server.stop(), self._loop
-        )
-        future.result(timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout)
+        self._runner.stop(self.server.stop(), timeout)
 
 
 def start_obs_in_thread(server: ObsServer) -> ObsServerHandle:
     """Run an observability server on a daemon thread (tests, fleets)."""
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    failure: list[BaseException] = []
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(server.start())
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            failure.append(exc)
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(target=run, name="repro-obs-http", daemon=True)
-    thread.start()
-    started.wait()
-    if failure:
-        raise failure[0]
-    return ObsServerHandle(server, loop, thread)
+    return ObsServerHandle(server, LoopThread(server.start(), "repro-obs-http"))

@@ -8,9 +8,10 @@ tanks, some feeder sections, each with its own capture timeline.  The
 
 - each :class:`SiteSpec` names a scenario and a seed and generates its
   own capture (different physics, different attack schedule),
-- every site replays concurrently over a real TCP socket with its own
-  stream key, so sessions shard across the gateway's engine workers and
-  each tick batches whatever the fleet delivered,
+- every site replays concurrently, one OS thread per site, over a real
+  TCP socket with its own stream key, so sessions shard across the
+  gateway's engine workers and each tick batches whatever the fleet
+  delivered,
 - because the gateway pins every stream to one engine row and processes
   it strictly in sequence order, each site's verdicts are **bit-identical
   to running its capture through offline** ``detector.detect()`` — which
@@ -30,7 +31,6 @@ and registry benchmarks.
 
 from __future__ import annotations
 
-import asyncio
 import threading
 import time
 from dataclasses import dataclass, field
@@ -44,12 +44,7 @@ from repro.ics.features import Package
 from repro.serve.alerts import AlertConfig, AlertPipeline, RecentAlertsBuffer
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.protocols import get_adapter
-from repro.serve.replay import AsyncReplayClient, ReplayClient, ReplayResult
-
-#: Site count above which ``driver="auto"`` switches from one OS thread
-#: per site to coroutine multiplexing — the thread driver's historical
-#: comfort zone.
-AUTO_ASYNC_THRESHOLD = 16
+from repro.serve.replay import ReplayClient
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.historian import Historian
@@ -117,11 +112,6 @@ class FleetConfig:
     #: Wire dialects assigned round-robin across sites (mixed-protocol
     #: fleet).  Empty = each site speaks its scenario's declared dialect.
     protocols: tuple[str, ...] = ()
-    #: Site concurrency model: ``"threads"`` (one OS thread + blocking
-    #: socket per site), ``"async"`` (every site a coroutine on one
-    #: event loop — the hundreds-of-sites load harness), or ``"auto"``
-    #: (threads up to 16 sites, async beyond).
-    driver: str = "auto"
     #: Gateway shard backend (see
     #: :attr:`repro.serve.gateway.GatewayConfig.worker_mode`).
     worker_mode: str = "thread"
@@ -136,11 +126,6 @@ class FleetConfig:
         if self.alerts_buffer < 1:
             raise ValueError(
                 f"alerts_buffer must be >= 1, got {self.alerts_buffer}"
-            )
-        if self.driver not in ("threads", "async", "auto"):
-            raise ValueError(
-                f"driver must be 'threads', 'async' or 'auto', got "
-                f"{self.driver!r}"
             )
         if self.worker_mode not in ("thread", "process"):
             raise ValueError(
@@ -158,12 +143,6 @@ class FleetConfig:
         for protocol in self.protocols:
             get_adapter(protocol)  # raises KeyError on unknown dialects
         return self
-
-    def effective_driver(self) -> str:
-        """Resolve ``"auto"`` to the driver this fleet size gets."""
-        if self.driver != "auto":
-            return self.driver
-        return "async" if self.num_sites > AUTO_ASYNC_THRESHOLD else "threads"
 
     def sites(self) -> list[SiteSpec]:
         """The fleet roster: scenarios assigned round-robin across sites."""
@@ -364,20 +343,6 @@ class FleetRunner:
                 historian=self.historian,
                 tracer=self.tracer,
             )
-        obs_handle = None
-        if self.http_port is not None:
-            from repro.obs.httpapi import ObsServer, start_obs_in_thread
-
-            obs_handle = start_obs_in_thread(
-                ObsServer(
-                    gateway=handle.gateway,
-                    metrics=self.metrics,
-                    historian=self.historian,
-                    recent_alerts=recent,
-                    port=self.http_port,
-                )
-            )
-            self.http_address = obs_handle.address
         latency_histogram = (
             self.metrics.histogram(
                 "fleet_send_verdict_seconds",
@@ -389,87 +354,65 @@ class FleetRunner:
         results: dict[str, SiteResult] = {}
         errors: list[BaseException] = []
 
-        def site_scenario_tag(site: SiteSpec) -> str | None:
-            return (
-                site.scenario
-                if self.heterogeneous and config.tag_streams
-                else None
-            )
+        def stream(site: SiteSpec) -> None:
+            try:
+                replayed = ReplayClient(
+                    host,
+                    port,
+                    stream_key=site.name,
+                    window=config.window,
+                    scenario=(
+                        site.scenario
+                        if self.heterogeneous and config.tag_streams
+                        else None
+                    ),
+                    protocol=site.wire_protocol(),
+                    record_latency=config.record_latency,
+                ).replay(captures[site.name])
+                if latency_histogram is not None and replayed.latencies is not None:
+                    for sample in replayed.latencies:
+                        latency_histogram.observe(float(sample))
+                labels = np.array([p.label for p in captures[site.name]])
+                results[site.name] = SiteResult(
+                    spec=site,
+                    packages=replayed.judged,
+                    anomalies=replayed.anomalies,
+                    levels=replayed.levels,
+                    metrics=evaluate_detection(
+                        labels[replayed.start : replayed.start + replayed.judged],
+                        replayed.anomalies,
+                    ),
+                    complete=replayed.complete,
+                    latencies=replayed.latencies,
+                )
+            except BaseException as exc:  # noqa: BLE001 - joined below
+                errors.append(exc)
 
-        def collect(site: SiteSpec, replayed: ReplayResult) -> None:
-            if latency_histogram is not None and replayed.latencies is not None:
-                for sample in replayed.latencies:
-                    latency_histogram.observe(float(sample))
-            labels = np.array([p.label for p in captures[site.name]])
-            results[site.name] = SiteResult(
-                spec=site,
-                packages=replayed.judged,
-                anomalies=replayed.anomalies,
-                levels=replayed.levels,
-                metrics=evaluate_detection(
-                    labels[replayed.start : replayed.start + replayed.judged],
-                    replayed.anomalies,
-                ),
-                complete=replayed.complete,
-                latencies=replayed.latencies,
-            )
-
+        obs_handle = None
         try:
+            if self.http_port is not None:
+                from repro.obs.httpapi import ObsServer, start_obs_in_thread
+
+                obs_handle = start_obs_in_thread(
+                    ObsServer(
+                        gateway=handle.gateway,
+                        metrics=self.metrics,
+                        historian=self.historian,
+                        recent_alerts=recent,
+                        port=self.http_port,
+                    )
+                )
+                self.http_address = obs_handle.address
             host, port = handle.address
-
-            def drive_threads() -> None:
-                def stream(site: SiteSpec) -> None:
-                    try:
-                        client = ReplayClient(
-                            host,
-                            port,
-                            stream_key=site.name,
-                            window=config.window,
-                            scenario=site_scenario_tag(site),
-                            protocol=site.wire_protocol(),
-                            record_latency=config.record_latency,
-                        )
-                        collect(site, client.replay(captures[site.name]))
-                    except BaseException as exc:  # noqa: BLE001 - joined below
-                        errors.append(exc)
-
-                threads = [
-                    threading.Thread(target=stream, args=(site,), name=site.name)
-                    for site in sites
-                ]
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join()
-
-            def drive_async() -> None:
-                async def one(site: SiteSpec) -> None:
-                    client = AsyncReplayClient(
-                        host,
-                        port,
-                        stream_key=site.name,
-                        window=config.window,
-                        scenario=site_scenario_tag(site),
-                        protocol=site.wire_protocol(),
-                        record_latency=config.record_latency,
-                    )
-                    collect(site, await client.replay(captures[site.name]))
-
-                async def all_sites() -> None:
-                    outcomes = await asyncio.gather(
-                        *(one(site) for site in sites), return_exceptions=True
-                    )
-                    errors.extend(
-                        exc for exc in outcomes if isinstance(exc, BaseException)
-                    )
-
-                asyncio.run(all_sites())
-
             started = time.perf_counter()
-            if config.effective_driver() == "async":
-                drive_async()
-            else:
-                drive_threads()
+            threads = [
+                threading.Thread(target=stream, args=(site,), name=site.name)
+                for site in sites
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
             seconds = time.perf_counter() - started
             stats = handle.stats()
         finally:

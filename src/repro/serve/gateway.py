@@ -75,7 +75,6 @@ gateway on a background event loop for tests, benchmarks and notebooks.
 from __future__ import annotations
 
 import asyncio
-import threading
 from collections import deque
 from contextlib import AsyncExitStack
 from dataclasses import dataclass, replace
@@ -116,6 +115,7 @@ from repro.serve.workers import (
     encode_init,
 )
 from repro.utils.artifact import state_to_bytes
+from repro.utils.loop_thread import LoopThread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.combined import CombinedDetector
@@ -1369,11 +1369,9 @@ class DetectionGateway:
 class GatewayHandle:
     """A gateway running on its own event-loop thread."""
 
-    def __init__(self, gateway: DetectionGateway, loop: asyncio.AbstractEventLoop,
-                 thread: threading.Thread) -> None:
+    def __init__(self, gateway: DetectionGateway, runner: LoopThread) -> None:
         self.gateway = gateway
-        self._loop = loop
-        self._thread = thread
+        self._runner = runner
 
     @property
     def address(self) -> tuple[str, int]:
@@ -1391,14 +1389,7 @@ class GatewayHandle:
         fail-over drill: the next gateway must restart from the last
         *periodic* checkpoint, exactly like after a crash.
         """
-        future = asyncio.run_coroutine_threadsafe(
-            self.gateway.stop(checkpoint), self._loop
-        )
-        try:
-            future.result(timeout)
-        finally:
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout)
+        self._runner.stop(self.gateway.stop(checkpoint), timeout)
 
     def stats(self) -> dict[str, Any]:
         return self.gateway.stats()
@@ -1428,30 +1419,4 @@ def start_in_thread(
             historian=historian,
             tracer=tracer,
         )
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    failure: list[BaseException] = []
-
-    def run() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(gateway.start())
-        except BaseException as exc:  # noqa: BLE001 - reported to caller
-            failure.append(exc)
-            loop.close()
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
-
-    thread = threading.Thread(target=run, name="repro-gateway", daemon=True)
-    thread.start()
-    started.wait()
-    if failure:
-        thread.join()
-        raise failure[0]
-    return GatewayHandle(gateway, loop, thread)
+    return GatewayHandle(gateway, LoopThread(gateway.start(), "repro-gateway"))

@@ -8,7 +8,8 @@ bytes and those rows for one dialect:
 
 - **framing** — how control PDUs and telemetry records are wrapped on
   the socket (header layout, length fields, integrity check),
-- **decode + resync** — an incremental decoder that survives partial
+- **decode + resync** — a subclass of the one incremental
+  :class:`~repro.serve.transport.FrameDecoder`, which survives partial
   reads and resynchronizes after garbage, with the same observability
   counters (``frames_decoded`` / ``bytes_discarded`` / ``resyncs``) on
   every dialect,
@@ -46,7 +47,7 @@ from __future__ import annotations
 import struct
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import ClassVar, Protocol
+from typing import ClassVar
 
 from repro.ics.features import Package
 from repro.serve import transport
@@ -54,6 +55,7 @@ from repro.serve.transport import (
     KNOWN_KINDS,
     MAX_FRAME_BODY,
     DataFrame,
+    FrameDecoder,
     MbapDecoder,
     TransportError,
     wrap_pdu,
@@ -130,72 +132,7 @@ class AdapterFrame:
         return self.pdu[0]
 
 
-class FrameDecoder(Protocol):
-    """What the gateway needs from any dialect's incremental decoder."""
-
-    frames_decoded: int
-    bytes_discarded: int
-    resyncs: int
-
-    @property
-    def buffered(self) -> int: ...
-
-    def feed(self, data: bytes) -> list:
-        """Absorb bytes; return the frames they complete."""
-        ...
-
-
-class _FramedDecoder:
-    """Shared shed-one-byte resynchronizing decoder skeleton.
-
-    Subclasses implement :meth:`_parse_at_start`, which inspects the
-    buffer head and returns one of: a ``(frame, consumed)`` pair, the
-    string ``"shed"`` (head cannot start a frame), or ``None`` (more
-    bytes needed).
-    """
-
-    #: Fewest buffered bytes worth inspecting.
-    min_header: ClassVar[int] = 1
-
-    def __init__(self) -> None:
-        self._buffer = bytearray()
-        self.frames_decoded = 0
-        self.bytes_discarded = 0
-        #: Sync-loss events (runs of shed bytes), mirroring
-        #: :class:`~repro.serve.transport.MbapDecoder`.
-        self.resyncs = 0
-        self._synced = True
-
-    @property
-    def buffered(self) -> int:
-        return len(self._buffer)
-
-    def feed(self, data: bytes) -> list[AdapterFrame]:
-        self._buffer.extend(data)
-        frames: list[AdapterFrame] = []
-        while len(self._buffer) >= self.min_header:
-            result = self._parse_at_start(self._buffer)
-            if result is None:
-                break
-            if result == "shed":
-                del self._buffer[0]
-                self.bytes_discarded += 1
-                if self._synced:
-                    self.resyncs += 1
-                    self._synced = False
-                continue
-            frame, consumed = result
-            del self._buffer[:consumed]
-            self.frames_decoded += 1
-            self._synced = True
-            frames.append(frame)
-        return frames
-
-    def _parse_at_start(self, buffer: bytearray):
-        raise NotImplementedError
-
-
-class _Iec104Decoder(_FramedDecoder):
+class _Iec104Decoder(FrameDecoder):
     """Incremental decoder for the IEC-104-style APDU framing."""
 
     min_header = 4  # start byte, 2-byte length, first body byte (kind)
@@ -219,7 +156,7 @@ class _Iec104Decoder(_FramedDecoder):
         return AdapterFrame(body), total
 
 
-class _Dnp3Decoder(_FramedDecoder):
+class _Dnp3Decoder(FrameDecoder):
     """Incremental decoder for the DNP3-lite link framing."""
 
     min_header = 5  # magic(2), length(2), first body byte (kind)

@@ -1,4 +1,4 @@
-"""Replay clients: stream a recorded capture at a live gateway.
+"""Replay client: stream a recorded capture at a live gateway.
 
 The load-generation and fail-over-drill counterpart of the gateway: it
 plays a :class:`~repro.ics.dataset.GasPipelineDataset` capture (or an
@@ -19,29 +19,32 @@ must discard them and stay frame-synchronized, changing no decision.
 that adapter and the gateway sniffs the dialect from the first bytes —
 no server-side coordination is required.
 
-Two clients share one verdict pipeline: :class:`ReplayClient` is the
-blocking-socket original (one OS thread per site — fine to a few dozen
-sites), and :class:`AsyncReplayClient` is its coroutine twin, letting
-one event loop drive *hundreds* of concurrent sites (the fleet load
-harness).  Both can time each package from send to verdict
-(``record_latency=True``) for p50/p99 latency benchmarking.
+The client can time each package from send to verdict
+(``record_latency=True``) for p50/p99 latency benchmarking.  A fleet
+runs one client per site, each on its own OS thread (see
+:mod:`repro.serve.fleet`).
 """
 
 from __future__ import annotations
 
-import asyncio
 import os
 import socket
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
 from repro.ics.arff import read_arff
 from repro.ics.features import Package
-from repro.serve.protocols import FrameDecoder, ProtocolAdapter, get_adapter
-from repro.serve.transport import KIND_ERROR, KIND_OPEN_ACK, KIND_VERDICT
+from repro.serve.protocols import get_adapter
+from repro.serve.transport import (
+    KIND_ERROR,
+    KIND_OPEN_ACK,
+    KIND_VERDICT,
+    FrameDecoder,
+)
 
 
 class ReplayError(RuntimeError):
@@ -75,74 +78,8 @@ class ReplayResult:
         return int(self.anomalies.sum())
 
 
-class _VerdictCollector:
-    """Shared verdict pipeline of the sync and async replay clients.
-
-    Enforces strict in-order verdicts, accumulates decisions, and (when
-    latency recording is on) times each package from the moment its
-    DATA frame was flushed to the socket until its verdict arrived.
-    """
-
-    def __init__(
-        self, adapter: ProtocolAdapter, start: int, record_latency: bool
-    ) -> None:
-        self.adapter = adapter
-        self.start = start
-        self.anomalies: list[bool] = []
-        self.levels: list[int] = []
-        self.latencies: list[float] | None = [] if record_latency else None
-        self._sent_at: dict[int, float] = {}
-
-    @property
-    def judged(self) -> int:
-        return len(self.anomalies)
-
-    def mark_sent(self, first_seq: int, last_seq: int) -> None:
-        """Stamp flush time for the seq range just written to the socket."""
-        if self.latencies is None:
-            return
-        now = time.perf_counter()
-        for seq in range(first_seq, last_seq):
-            self._sent_at[seq] = now
-
-    def on_frame(self, frame) -> None:
-        if frame.kind == KIND_VERDICT:
-            seq, anomaly, level = self.adapter.decode_verdict(frame.pdu)
-            expected = self.start + len(self.anomalies)
-            if seq != expected:
-                raise ReplayError(
-                    f"verdict out of order: expected seq {expected}, got {seq}"
-                )
-            if self.latencies is not None:
-                self.latencies.append(
-                    time.perf_counter() - self._sent_at.pop(seq)
-                )
-            self.anomalies.append(anomaly)
-            self.levels.append(level)
-        elif frame.kind == KIND_ERROR:
-            raise ReplayError(
-                f"gateway error: {self.adapter.decode_error(frame.pdu)}"
-            )
-        else:
-            raise ReplayError(f"unexpected frame kind {frame.kind:#04x}")
-
-    def result(self, stream_key: str, complete: bool) -> ReplayResult:
-        return ReplayResult(
-            stream_key=stream_key,
-            start=self.start,
-            anomalies=np.array(self.anomalies, dtype=bool),
-            levels=np.array(self.levels, dtype=np.int64),
-            complete=complete,
-            latencies=(
-                np.array(self.latencies, dtype=np.float64)
-                if self.latencies is not None
-                else None
-            ),
-        )
-
-
-class _ReplayBase:
-    """Configuration shared by the blocking and async replay clients."""
+class ReplayClient:
+    """Blocking-socket client replaying packages through a gateway."""
 
     def __init__(
         self,
@@ -182,13 +119,79 @@ class _ReplayBase:
         #: Time every package from socket flush to verdict receipt.
         self.record_latency = record_latency
 
-    def _check_start(self, start: int, packages: Sequence[Package]) -> None:
-        if start > len(packages):
-            raise ReplayError(
-                f"gateway has judged {start} packages on stream "
-                f"{self.stream_key!r}, but the capture holds only "
-                f"{len(packages)}"
-            )
+    def replay(self, packages: Sequence[Package]) -> ReplayResult:
+        """Stream ``packages`` and gather verdicts for the unjudged tail.
+
+        Keeps at most ``window`` packages in flight and accepts verdicts
+        strictly in sequence order.  With ``record_latency`` every
+        package is timed from the moment its DATA frame was flushed to
+        the socket until its verdict arrived.  Returns a partial result
+        (``complete=False``) if the gateway goes away mid-replay — the
+        fail-over path: reconnect later and replay the same capture;
+        already-judged packages are skipped.
+        """
+        anomalies: list[bool] = []
+        levels: list[int] = []
+        latencies: list[float] | None = [] if self.record_latency else None
+        sent_at: dict[int, float] = {}
+        complete = True
+        with socket.create_connection((self.host, self.port), self.timeout) as sock:
+            sock.settimeout(self.timeout)
+            decoder = self.adapter.decoder()
+            sock.sendall(self.adapter.frame_open(self.stream_key, self.scenario))
+            start = self._await_open_ack(sock, decoder)
+            if start > len(packages):
+                raise ReplayError(
+                    f"gateway has judged {start} packages on stream "
+                    f"{self.stream_key!r}, but the capture holds only "
+                    f"{len(packages)}"
+                )
+            next_send = start
+            while start + len(anomalies) < len(packages):
+                payload, sent_to = self._fill_window(
+                    packages, next_send, start, len(anomalies)
+                )
+                if payload:
+                    sock.sendall(payload)
+                    if latencies is not None:
+                        now = time.perf_counter()
+                        for seq in range(next_send, sent_to):
+                            sent_at[seq] = now
+                    next_send = sent_to
+                try:
+                    data = sock.recv(65536)
+                except (TimeoutError, ConnectionError):
+                    complete = False
+                    break
+                if not data:
+                    complete = False
+                    break
+                for frame in decoder.feed(data):
+                    if frame.kind != KIND_VERDICT:
+                        self._refuse(frame)
+                    seq, anomaly, level = self.adapter.decode_verdict(frame.pdu)
+                    expected = start + len(anomalies)
+                    if seq != expected:
+                        raise ReplayError(
+                            f"verdict out of order: expected seq {expected}, "
+                            f"got {seq}"
+                        )
+                    if latencies is not None:
+                        latencies.append(time.perf_counter() - sent_at.pop(seq))
+                    anomalies.append(anomaly)
+                    levels.append(level)
+        return ReplayResult(
+            stream_key=self.stream_key,
+            start=start,
+            anomalies=np.array(anomalies, dtype=bool),
+            levels=np.array(levels, dtype=np.int64),
+            complete=complete,
+            latencies=(
+                None
+                if latencies is None
+                else np.array(latencies, dtype=np.float64)
+            ),
+        )
 
     def _fill_window(
         self,
@@ -211,51 +214,6 @@ class _ReplayBase:
             next_send += 1
         return payload, next_send
 
-
-class ReplayClient(_ReplayBase):
-    """Blocking-socket client replaying packages through a gateway."""
-
-    def replay(self, packages: Sequence[Package]) -> ReplayResult:
-        """Stream ``packages`` and gather verdicts for the unjudged tail.
-
-        Keeps at most ``window`` packages in flight.  Returns a partial
-        result (``complete=False``) if the gateway goes away
-        mid-replay — the fail-over path: reconnect later and replay the
-        same capture; already-judged packages are skipped.
-        """
-        with socket.create_connection((self.host, self.port), self.timeout) as sock:
-            sock.settimeout(self.timeout)
-            decoder = self.adapter.decoder()
-            sock.sendall(self.adapter.frame_open(self.stream_key, self.scenario))
-            start = self._await_open_ack(sock, decoder)
-            self._check_start(start, packages)
-
-            total = len(packages) - start
-            collector = _VerdictCollector(
-                self.adapter, start, self.record_latency
-            )
-            next_send = start
-            complete = True
-            while collector.judged < total:
-                payload, sent_to = self._fill_window(
-                    packages, next_send, start, collector.judged
-                )
-                if payload:
-                    sock.sendall(payload)
-                    collector.mark_sent(next_send, sent_to)
-                    next_send = sent_to
-                try:
-                    data = sock.recv(65536)
-                except (TimeoutError, ConnectionError):
-                    complete = False
-                    break
-                if not data:
-                    complete = False
-                    break
-                for frame in decoder.feed(data):
-                    collector.on_frame(frame)
-            return collector.result(self.stream_key, complete)
-
     def _await_open_ack(self, sock: socket.socket, decoder: FrameDecoder) -> int:
         while True:
             try:
@@ -265,89 +223,18 @@ class ReplayClient(_ReplayBase):
             if not data:
                 raise ReplayError("gateway closed the connection before OPEN_ACK")
             for frame in decoder.feed(data):
-                if frame.kind == KIND_OPEN_ACK:
-                    _, packages_seen = self.adapter.decode_open_ack(frame.pdu)
-                    return packages_seen
-                if frame.kind == KIND_ERROR:
-                    raise ReplayError(
-                        f"gateway error: {self.adapter.decode_error(frame.pdu)}"
-                    )
-                raise ReplayError(f"unexpected frame kind {frame.kind:#04x}")
+                if frame.kind != KIND_OPEN_ACK:
+                    self._refuse(frame)
+                _, packages_seen = self.adapter.decode_open_ack(frame.pdu)
+                return packages_seen
 
-
-class AsyncReplayClient(_ReplayBase):
-    """Coroutine replay client: hundreds of sites on one event loop.
-
-    Wire behaviour is identical to :class:`ReplayClient` (same framing,
-    same windowing, same resume semantics) — only the concurrency model
-    differs, so a fleet driver can multiplex every site as a coroutine
-    instead of burning an OS thread per site.
-    """
-
-    async def replay(self, packages: Sequence[Package]) -> ReplayResult:
-        """Async twin of :meth:`ReplayClient.replay`."""
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            decoder = self.adapter.decoder()
-            writer.write(self.adapter.frame_open(self.stream_key, self.scenario))
-            await writer.drain()
-            start = await self._await_open_ack(reader, decoder)
-            self._check_start(start, packages)
-
-            total = len(packages) - start
-            collector = _VerdictCollector(
-                self.adapter, start, self.record_latency
+    def _refuse(self, frame) -> NoReturn:
+        """Fail the replay on a frame the session does not expect."""
+        if frame.kind == KIND_ERROR:
+            raise ReplayError(
+                f"gateway error: {self.adapter.decode_error(frame.pdu)}"
             )
-            next_send = start
-            complete = True
-            while collector.judged < total:
-                payload, sent_to = self._fill_window(
-                    packages, next_send, start, collector.judged
-                )
-                if payload:
-                    writer.write(payload)
-                    await writer.drain()
-                    collector.mark_sent(next_send, sent_to)
-                    next_send = sent_to
-                try:
-                    data = await asyncio.wait_for(
-                        reader.read(65536), self.timeout
-                    )
-                except (TimeoutError, asyncio.TimeoutError, ConnectionError):
-                    complete = False
-                    break
-                if not data:
-                    complete = False
-                    break
-                for frame in decoder.feed(data):
-                    collector.on_frame(frame)
-            return collector.result(self.stream_key, complete)
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    async def _await_open_ack(
-        self, reader: asyncio.StreamReader, decoder: FrameDecoder
-    ) -> int:
-        while True:
-            try:
-                data = await asyncio.wait_for(reader.read(65536), self.timeout)
-            except (TimeoutError, asyncio.TimeoutError, ConnectionError) as exc:
-                raise ReplayError(f"no OPEN_ACK from gateway: {exc}") from exc
-            if not data:
-                raise ReplayError("gateway closed the connection before OPEN_ACK")
-            for frame in decoder.feed(data):
-                if frame.kind == KIND_OPEN_ACK:
-                    _, packages_seen = self.adapter.decode_open_ack(frame.pdu)
-                    return packages_seen
-                if frame.kind == KIND_ERROR:
-                    raise ReplayError(
-                        f"gateway error: {self.adapter.decode_error(frame.pdu)}"
-                    )
-                raise ReplayError(f"unexpected frame kind {frame.kind:#04x}")
+        raise ReplayError(f"unexpected frame kind {frame.kind:#04x}")
 
 
 def replay_arff(

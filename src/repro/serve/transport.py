@@ -21,11 +21,13 @@ module layers that framing over the existing RTU codec
   which detection level fired), echoing the package sequence number.
 - ``ERROR`` — fatal protocol violation, human-readable reason.
 
-:class:`MbapDecoder` is an incremental parser built for a hostile wire:
-it survives partial reads (any split of the byte stream yields the same
-frames) and resynchronizes after garbage bytes by sliding one byte at a
-time until a plausible header — protocol id 0, sane length, known PDU
-kind — lines up again, counting every byte it had to discard.
+:class:`FrameDecoder` is the incremental parser every wire dialect
+shares, built for a hostile wire: it survives partial reads (any split
+of the byte stream yields the same frames) and resynchronizes after
+garbage bytes by sliding one byte at a time until a plausible header
+lines up again, counting every byte it had to discard.
+:class:`MbapDecoder` is its Modbus/TCP subclass: protocol id 0, sane
+length, known PDU kind.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
+from typing import ClassVar
 
 from repro.ics import modbus
 from repro.ics.features import FEATURE_NAMES, Package
@@ -104,16 +107,23 @@ def wrap_pdu(pdu: bytes, transaction_id: int, unit_id: int = 0) -> bytes:
     return header + pdu
 
 
-class MbapDecoder:
-    """Incremental MBAP frame decoder with garbage resynchronization.
+class FrameDecoder:
+    """Incremental frame decoder with garbage resynchronization.
 
     Feed arbitrary byte chunks; complete frames come out in order no
     matter how the stream was split.  Bytes that cannot start a
-    plausible frame (wrong protocol id, absurd length, unknown PDU kind)
-    are discarded one at a time until the decoder locks back onto a
-    frame boundary — the behaviour a field gateway needs on a link that
-    also carries line noise and unrelated chatter.
+    plausible frame are discarded one at a time until the decoder locks
+    back onto a frame boundary — the behaviour a field gateway needs on
+    a link that also carries line noise and unrelated chatter.
+
+    Each dialect subclasses this and implements :meth:`_parse_at_start`,
+    which inspects the buffer head and returns one of: a
+    ``(frame, consumed)`` pair, the string ``"shed"`` (the head cannot
+    start a frame), or ``None`` (more bytes needed).
     """
+
+    #: Fewest buffered bytes worth inspecting.
+    min_header: ClassVar[int] = 1
 
     def __init__(self) -> None:
         self._buffer = bytearray()
@@ -129,47 +139,56 @@ class MbapDecoder:
         """Bytes currently awaiting a complete frame."""
         return len(self._buffer)
 
-    def feed(self, data: bytes) -> list[MbapFrame]:
+    def feed(self, data: bytes) -> list:
         """Absorb ``data``; return every frame completed by it."""
-        self._buffer.extend(data)
-        frames: list[MbapFrame] = []
-        while True:
-            frame = self._next_frame()
-            if frame is None:
-                return frames
-            frames.append(frame)
-
-    def _next_frame(self) -> MbapFrame | None:
         buffer = self._buffer
-        while len(buffer) >= _MBAP.size:
-            transaction_id, protocol_id, length, unit_id = _MBAP.unpack_from(buffer)
-            plausible = (
-                protocol_id == PROTOCOL_MODBUS
-                and 2 <= length <= MAX_FRAME_BODY
-                and (
-                    len(buffer) <= _MBAP.size
-                    or buffer[_MBAP.size] in KNOWN_KINDS
-                )
-            )
-            if not plausible:
-                # Not a frame boundary: shed one byte and rescan.
+        buffer.extend(data)
+        frames = []
+        while len(buffer) >= self.min_header:
+            result = self._parse_at_start(buffer)
+            if result is None:
+                break
+            if result == "shed":
                 del buffer[0]
                 self.bytes_discarded += 1
                 if self._synced:
                     self.resyncs += 1
                     self._synced = False
                 continue
-            end = _MBAP.size + length - 1  # length counts unit id + PDU
-            if len(buffer) < _MBAP.size + 1:
-                return None  # kind byte not here yet — wait for more
-            if len(buffer) < end:
-                return None
-            pdu = bytes(buffer[_MBAP.size : end])
-            del buffer[:end]
+            frame, consumed = result
+            del buffer[:consumed]
             self.frames_decoded += 1
             self._synced = True
-            return MbapFrame(transaction_id, unit_id, pdu)
-        return None
+            frames.append(frame)
+        return frames
+
+    def _parse_at_start(self, buffer: bytearray):
+        raise NotImplementedError
+
+
+class MbapDecoder(FrameDecoder):
+    """Incremental MBAP frame decoder.
+
+    As soon as a 7-byte header is buffered, a wrong protocol id or an
+    absurd length sheds a byte; otherwise the decoder waits for the
+    kind byte, and an unknown PDU kind sheds a byte.
+    """
+
+    min_header = _MBAP.size
+
+    def _parse_at_start(self, buffer: bytearray):
+        transaction_id, protocol_id, length, unit_id = _MBAP.unpack_from(buffer)
+        if protocol_id != PROTOCOL_MODBUS or not 2 <= length <= MAX_FRAME_BODY:
+            return "shed"
+        if len(buffer) == _MBAP.size:
+            return None  # kind byte not here yet — wait for more
+        if buffer[_MBAP.size] not in KNOWN_KINDS:
+            return "shed"
+        end = _MBAP.size + length - 1  # length counts unit id + PDU
+        if len(buffer) < end:
+            return None
+        pdu = bytes(buffer[_MBAP.size : end])
+        return MbapFrame(transaction_id, unit_id, pdu), end
 
 
 # ----------------------------------------------------------------------

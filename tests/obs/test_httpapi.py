@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import socket
+import threading
 import urllib.error
 import urllib.request
+import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.historian import Historian
 from repro.obs.httpapi import ObsServer, start_obs_in_thread
@@ -110,7 +116,7 @@ class TestRouting:
                 _get(server, "/historian/query", {"since": "abc"})
             with pytest.raises(Exception, match="must be an integer"):
                 _get(server, "/historian/query", {"limit": "two"})
-            with pytest.raises(Exception, match="must be >= 0"):
+            with pytest.raises(Exception, match="must be >= 1"):
                 _get(server, "/historian/query", {"limit": "-3"})
         finally:
             historian.close()
@@ -290,10 +296,20 @@ class TestOverSockets:
         """Satellite: a bad query param is a 400 with a machine-readable
         JSON error body — the server never answers 500 for client junk."""
         from repro.obs.incidents import IncidentCorrelator
+        from repro.obs.tracing import Tracer
+        from repro.serve.alerts import RecentAlertsBuffer
 
         historian = Historian(tmp_path / "h")
+        alerts = RecentAlertsBuffer(capacity=8)
+        for i in range(3):
+            alerts(_FakeAlert(i))
         handle = start_obs_in_thread(
-            ObsServer(historian=historian, incidents=IncidentCorrelator())
+            ObsServer(
+                historian=historian,
+                incidents=IncidentCorrelator(),
+                recent_alerts=alerts,
+                tracer=Tracer(),
+            )
         )
         try:
             host, port = handle.address
@@ -303,13 +319,19 @@ class TestOverSockets:
                 "/incidents?limit=-1",
                 "/historian/query?since=noon",
                 "/historian/query?limit=two",
-                "/alerts/recent?limit=1",  # 404 (no buffer), still JSON
+                # limit=0 is refused everywhere, not "everything" via x[-0:]
+                "/incidents?limit=0",
+                "/alerts/recent?limit=0",
+                "/traces/recent?limit=0",
+                "/historian/query?limit=0",
+                "//[",  # a target urlsplit rejects (unclosed IPv6 host)
+                "/registry",  # 404 (no registry), still JSON
             ):
                 with pytest.raises(urllib.error.HTTPError) as excinfo:
                     urllib.request.urlopen(f"{base}{path}", timeout=5)
                 assert excinfo.value.code in (400, 404), path
                 assert excinfo.value.code == (
-                    404 if path.startswith("/alerts") else 400
+                    404 if path.startswith("/registry") else 400
                 ), path
                 content_type = excinfo.value.headers["Content-Type"]
                 assert content_type.startswith("application/json"), path
@@ -320,3 +342,114 @@ class TestOverSockets:
         finally:
             handle.stop()
             historian.close()
+
+    def test_failed_start_leaves_nothing_behind(self):
+        """A taken port: start_obs_in_thread raises OSError, its loop is
+        closed and its thread joined."""
+        gc.collect()
+        threads_before = set(threading.enumerate())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with socket.socket() as held:
+                held.bind(("127.0.0.1", 0))
+                held.listen()
+                with pytest.raises(OSError):
+                    start_obs_in_thread(ObsServer(port=held.getsockname()[1]))
+            gc.collect()
+        assert not [
+            thread.name
+            for thread in set(threading.enumerate()) - threads_before
+            if thread.name == "repro-obs-http"
+        ]
+        assert not [
+            w for w in caught if "unclosed event loop" in str(w.message)
+        ]
+
+
+# ----------------------------------------------------------------------
+# arbitrary request heads
+# ----------------------------------------------------------------------
+
+_PATHS = (
+    "/", "/healthz", "/metrics", "/stats", "/registry", "/alerts/recent",
+    "/incidents", "/drift", "/historian/query", "/traces/recent",
+    "/traces/slowest", "/%zz", "",
+)
+#: Authority prefixes; the two unclosed IPv6 hosts make urlsplit raise.
+_AUTHORITIES = ("", "", "//[", "http://[::1", "//host:80")
+_PARAMS = ("limit", "stream", "scenario", "since", "until", "bogus")
+_VALUES = st.one_of(
+    st.sampled_from(
+        ["0", "1", "-1", "2", "abc", "nan", "inf", "1e309", "9" * 5000, "%",
+         "[", ""]
+    ),
+    st.text(max_size=12),
+)
+_QUERY = st.lists(
+    st.tuples(st.sampled_from(_PARAMS), _VALUES), max_size=4
+).map(lambda pairs: "&".join(f"{key}={value}" for key, value in pairs))
+_TARGET = st.one_of(
+    st.tuples(
+        st.sampled_from(_AUTHORITIES), st.sampled_from(_PATHS), _QUERY
+    ).map(lambda parts: parts[0] + parts[1] + (f"?{parts[2]}" if parts[2] else "")),
+    st.text(max_size=40),
+)
+_REQUEST_LINE = st.tuples(
+    st.one_of(st.sampled_from(["GET", "HEAD"]), st.text(max_size=6)),
+    _TARGET,
+    st.sampled_from(["HTTP/1.1", "HTTP/1.0", ""]),
+).map(lambda parts: " ".join(parts).encode("utf-8") + b"\r\n\r\n")
+
+
+class TestRequestHeadFuzz:
+    """Any request head gets a 200, 400, 404 or 405 — never a 500 — and
+    every error body is JSON carrying ``error`` and ``status``."""
+
+    @pytest.fixture(scope="class")
+    def server(self, tmp_path_factory):
+        from repro.obs.incidents import IncidentCorrelator
+        from repro.obs.tracing import TraceConfig, Tracer
+        from repro.serve.alerts import RecentAlertsBuffer
+
+        historian = Historian(tmp_path_factory.mktemp("fuzz") / "h")
+        for seq in range(4):
+            historian.append(
+                "k", "gas", 1, seq, 0, seq % 2 == 1, None, wall_time=100.0 + seq
+            )
+        alerts = RecentAlertsBuffer(capacity=8)
+        for i in range(3):
+            alerts(_FakeAlert(i))
+        tracer = Tracer(TraceConfig(sample_every=1))
+        for seq in range(3):
+            span = tracer.start("k", seq, 0.0)
+            span.stages["decode"] = 0.001 * (seq + 1)
+            tracer.finish(span, scenario="gas")
+        yield ObsServer(
+            gateway=_StubGateway(),
+            metrics=MetricsRegistry(),
+            historian=historian,
+            recent_alerts=alerts,
+            incidents=IncidentCorrelator(),
+            tracer=tracer,
+        )
+        historian.close()
+
+    @staticmethod
+    def check(server: ObsServer, head: bytes) -> None:
+        status, content_type, body, _ = server._respond(head)
+        assert status in (200, 400, 404, 405), (head, body)
+        if status != 200:
+            assert content_type == "application/json"
+            payload = json.loads(body)
+            assert payload["status"] == status
+            assert payload["error"]
+
+    @given(head=st.binary(max_size=200))
+    @settings(max_examples=100, deadline=None)
+    def test_raw_bytes(self, server, head):
+        self.check(server, head)
+
+    @given(head=_REQUEST_LINE)
+    @settings(max_examples=200, deadline=None)
+    def test_request_lines(self, server, head):
+        self.check(server, head)

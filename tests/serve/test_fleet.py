@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import multiprocessing
+import socket
+import threading
+import warnings
+
 import numpy as np
 import pytest
 
@@ -34,26 +40,12 @@ class TestFleetConfig:
             {"cycles_per_site": 0},
             {"num_shards": 0},
             {"window": 0},
-            {"driver": "greenlets"},
             {"worker_mode": "fork"},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             FleetConfig(**kwargs).validate()
-
-    def test_auto_driver_switches_on_fleet_size(self):
-        from repro.serve.fleet import AUTO_ASYNC_THRESHOLD
-
-        at = FleetConfig(num_sites=AUTO_ASYNC_THRESHOLD)
-        above = FleetConfig(num_sites=AUTO_ASYNC_THRESHOLD + 1)
-        assert at.effective_driver() == "threads"
-        assert above.effective_driver() == "async"
-        # Explicit choices are never overridden.
-        assert FleetConfig(num_sites=100, driver="threads").effective_driver() \
-            == "threads"
-        assert FleetConfig(num_sites=2, driver="async").effective_driver() \
-            == "async"
 
     def test_site_capture_is_deterministic(self):
         spec = SiteSpec(name="s", scenario="water_tank", seed=9, num_cycles=20)
@@ -139,9 +131,9 @@ class TestFleetRunner:
 
 
 class TestFleetScaleOut:
-    def test_hundred_sites_on_the_async_driver(self, detector):
-        """The load-harness acceptance drill: 100 concurrent sites on
-        one event loop, every verdict still bit-identical to offline."""
+    def test_hundred_sites_one_thread_each(self, detector):
+        """The load-harness acceptance drill: 100 concurrent sites, one
+        OS thread each, every verdict still bit-identical to offline."""
         config = FleetConfig(
             num_sites=100,
             scenarios=("gas_pipeline",),
@@ -149,7 +141,6 @@ class TestFleetScaleOut:
             num_shards=2,
             verify_offline=True,
         )
-        assert config.effective_driver() == "async"
         result = FleetRunner(detector, config).run()
         assert len(result.sites) == 100
         assert result.all_complete
@@ -157,35 +148,12 @@ class TestFleetScaleOut:
         assert result.gateway_stats["streams"] == 100
         assert result.gateway_stats["processed"] == result.total_packages
 
-    def test_async_and_thread_drivers_agree(self, detector):
-        """Same fleet, both concurrency models: identical verdicts."""
-        base = dict(
-            num_sites=3,
-            scenarios=("gas_pipeline",),
-            cycles_per_site=10,
-            num_shards=2,
-        )
-        by_driver = {}
-        for driver in ("threads", "async"):
-            result = FleetRunner(
-                detector, FleetConfig(driver=driver, **base)
-            ).run()
-            assert result.all_complete
-            by_driver[driver] = result
-        for a, b in zip(
-            by_driver["threads"].sites, by_driver["async"].sites
-        ):
-            assert a.spec.name == b.spec.name
-            assert np.array_equal(a.anomalies, b.anomalies)
-            assert np.array_equal(a.levels, b.levels)
-
     def test_latency_recording_yields_fleet_percentiles(self, detector):
         config = FleetConfig(
             num_sites=2,
             scenarios=("gas_pipeline",),
             cycles_per_site=5,
             num_shards=1,
-            driver="async",
             record_latency=True,
         )
         result = FleetRunner(detector, config).run()
@@ -210,14 +178,13 @@ class TestFleetScaleOut:
         assert result.latency_percentiles() is None
 
     def test_process_worker_mode_fleet(self, detector):
-        """Fleet over the multi-process gateway backend: async sites in
+        """Fleet over the multi-process gateway backend: site threads in
         front, engine workers behind, verdicts still bit-identical."""
         config = FleetConfig(
             num_sites=20,
             scenarios=("gas_pipeline",),
             cycles_per_site=2,
             num_shards=2,
-            driver="async",
             worker_mode="process",
             verify_offline=True,
         )
@@ -225,6 +192,51 @@ class TestFleetScaleOut:
         assert result.all_complete
         assert result.all_match_offline
         assert result.gateway_stats["streams"] == 20
+
+
+class TestFleetTakenHttpPort:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_taken_http_port_stops_the_gateway(self, detector, mode):
+        """The ops-plane port is taken: run() raises OSError, and neither
+        the gateway's loop thread, its worker threads nor its shard
+        processes outlive the error; the gateway's loop is closed."""
+        gc.collect()
+        threads_before = set(threading.enumerate())
+        workers_before = set(multiprocessing.active_children())
+        with socket.socket() as held:
+            held.bind(("127.0.0.1", 0))
+            held.listen()
+            runner = FleetRunner(
+                detector,
+                FleetConfig(
+                    num_sites=1,
+                    scenarios=("gas_pipeline",),
+                    cycles_per_site=2,
+                    num_shards=2,
+                    worker_mode=mode,
+                ),
+                http_port=held.getsockname()[1],
+            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(OSError):
+                    runner.run()
+                gc.collect()
+        assert runner.http_address is None
+        assert not [
+            thread.name
+            for thread in set(threading.enumerate()) - threads_before
+            if thread.name.startswith("repro-")
+        ]
+        assert not [
+            proc.name
+            for proc in multiprocessing.active_children()
+            if proc not in workers_before
+            and proc.name.startswith("repro-shard-worker-")
+        ]
+        assert not [
+            w for w in caught if "unclosed event loop" in str(w.message)
+        ]
 
 
 class TestHeterogeneousFleet:

@@ -276,20 +276,15 @@ class TestFleetCommand:
         rc = main(
             ["fleet", "--model", str(model_path), "--sites", "2",
              "--scenarios", "gas_pipeline", "--cycles", "5",
-             "--worker-mode", "process", "--driver", "async",
+             "--worker-mode", "process",
              "--json", str(report)]
         )
         assert rc == 0
         out = capsys.readouterr().out
-        assert "process shard(s), async driver" in out
+        assert "process shard(s)" in out
         payload = json.loads(report.read_text())
         assert payload["worker_mode"] == "process"
-        assert payload["driver"] == "async"
         assert payload["all_match_offline"] is True
-
-    def test_fleet_rejects_unknown_driver(self, model_path):
-        with pytest.raises(SystemExit):
-            main(["fleet", "--model", str(model_path), "--driver", "fibers"])
 
     def test_fleet_reports_drift_counts_and_traces(
         self, model_path, tmp_path, capsys
