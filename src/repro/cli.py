@@ -48,6 +48,7 @@ import os
 import signal
 import sys
 import time
+from collections.abc import Awaitable
 from dataclasses import replace
 from typing import Any
 
@@ -86,7 +87,7 @@ from repro.serve.alerts import (
     RecentAlertsBuffer,
     stdout_sink,
 )
-from repro.serve.fleet import FleetConfig, FleetRunner
+from repro.serve.fleet import FleetConfig, FleetRunner, ObsBindError
 from repro.serve.gateway import DetectionGateway, GatewayConfig
 from repro.serve.replay import ReplayClient, ReplayError
 from repro.utils.artifact import ArtifactError, read_meta
@@ -782,44 +783,53 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             metrics=metrics, historian=historian, tracer=tracer,
         )
 
-    async def run() -> None:
-        await gateway.start()
-        host, port = gateway.address
-        # gateway.config, not the local one: a resumed checkpoint's
-        # shard topology overrides --shards.
-        print(
-            f"gateway listening on {host}:{port} "
-            f"({gateway.config.num_shards} shard(s))"
-        )
-        obs = None
-        if args.http_port is not None:
-            obs = ObsServer(
-                gateway=gateway,
-                metrics=metrics,
-                historian=historian,
-                recent_alerts=recent,
-                host=args.host,
-                port=args.http_port,
-            )
-            await obs.start()
-            obs_host, obs_port = obs.address
-            print(f"observability API on http://{obs_host}:{obs_port}/")
-        if args.port_file:
-            with open(args.port_file, "w") as handle:
-                handle.write(f"{host} {port}\n")
-                if obs is not None:
-                    handle.write("http {} {}\n".format(*obs.address))
-        stop = asyncio.Event()
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(sig, stop.set)
-            except (NotImplementedError, RuntimeError, ValueError):
-                pass  # non-main thread or exotic platform: rely on max_packages
-        waits = [asyncio.ensure_future(stop.wait())]
-        if config.max_packages is not None:
-            waits.append(asyncio.ensure_future(gateway.wait_done()))
+    async def bind(start: Awaitable[None]) -> None:
+        # A taken --port or --http-port is a one-line error; run()'s
+        # finally still stops the gateway and its workers.
         try:
+            await start
+        except OSError as exc:
+            raise SystemExit(f"error: {exc}") from exc
+
+    async def run() -> None:
+        obs = None
+        waits: list[asyncio.Future] = []
+        try:
+            await bind(gateway.start())
+            host, port = gateway.address
+            # gateway.config, not the local one: a resumed checkpoint's
+            # shard topology overrides --shards.
+            print(
+                f"gateway listening on {host}:{port} "
+                f"({gateway.config.num_shards} shard(s))"
+            )
+            if args.http_port is not None:
+                obs = ObsServer(
+                    gateway=gateway,
+                    metrics=metrics,
+                    historian=historian,
+                    recent_alerts=recent,
+                    host=args.host,
+                    port=args.http_port,
+                )
+                await bind(obs.start())
+                obs_host, obs_port = obs.address
+                print(f"observability API on http://{obs_host}:{obs_port}/")
+            if args.port_file:
+                with open(args.port_file, "w") as handle:
+                    handle.write(f"{host} {port}\n")
+                    if obs is not None:
+                        handle.write("http {} {}\n".format(*obs.address))
+            stop = asyncio.Event()
+            loop = asyncio.get_running_loop()
+            for sig in (signal.SIGINT, signal.SIGTERM):
+                try:
+                    loop.add_signal_handler(sig, stop.set)
+                except (NotImplementedError, RuntimeError, ValueError):
+                    pass  # non-main thread or exotic platform: rely on max_packages
+            waits.append(asyncio.ensure_future(stop.wait()))
+            if config.max_packages is not None:
+                waits.append(asyncio.ensure_future(gateway.wait_done()))
             await asyncio.wait(waits, return_when=asyncio.FIRST_COMPLETED)
         finally:
             for w in waits:
@@ -828,24 +838,25 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 await obs.stop()
             await gateway.stop(checkpoint=True)
 
-    asyncio.run(run())
-    stats = gateway.stats()
-    _print_serve_summary(stats)
-    if tracer is not None:
-        tstats = tracer.stats()
-        tracer.close()
-        if args.trace_export:
+    try:
+        asyncio.run(run())
+        _print_serve_summary(gateway.stats())
+        if tracer is not None and args.trace_export:
             print(
-                f"traces: exported {tstats['spans_exported']} span(s) "
-                f"to {args.trace_export}"
+                f"traces: exported {tracer.stats()['spans_exported']} "
+                f"span(s) to {args.trace_export}"
             )
-    if historian is not None:
-        hstats = historian.stats()
-        historian.close()
-        print(
-            f"historian: {hstats['appended']} records in "
-            f"{hstats['segments']} segment(s) at {hstats['root']}"
-        )
+        if historian is not None:
+            hstats = historian.stats()
+            print(
+                f"historian: {hstats['appended']} records in "
+                f"{hstats['segments']} segment(s) at {hstats['root']}"
+            )
+    finally:
+        if tracer is not None:
+            tracer.close()
+        if historian is not None:
+            historian.close()
     return 0
 
 
@@ -1057,7 +1068,13 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 time.sleep(0.1)
 
         _threading.Thread(target=announce, daemon=True).start()
-    result = runner.run()
+    try:
+        result = runner.run()
+    except ObsBindError as exc:
+        raise SystemExit(f"error: {exc}") from exc
+    finally:
+        if tracer is not None:
+            tracer.close()
 
     for site in result.sites:
         verified = (
@@ -1104,7 +1121,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
         )
     if tracer is not None:
         tstats = tracer.stats()
-        tracer.close()
         print(
             f"  traces: {tstats['spans_finished']} span(s) at "
             f"1/{tstats['sample_every']} sampling"

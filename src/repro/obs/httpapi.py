@@ -216,6 +216,10 @@ class ObsServer:
 
     def _respond(self, head: bytes) -> tuple[int, str, bytes, dict[str, str]]:
         self._requests += 1
+        # A gateway on another loop may be mid fan-out of verdicts its
+        # clients already hold; let it finish so reads cover them.
+        if self._gateway is not None:
+            self._gateway.settle()
         try:
             request_line = head.split(b"\r\n", 1)[0].decode("latin-1")
             parts = request_line.split(" ")

@@ -10,12 +10,18 @@ timestamps.  The stage vocabulary:
 =========  ====================================================
 ``decode``   frame receipt → telemetry record decoded (CRC checked)
 ``route``    decode → route resolved and the package enqueued
-``queue``    enqueue → its shard tick picked the package up
+``queue``    enqueue → its engine group starts: the wait for its
+             shard's drain plus the groups ahead of it in that drain
 ``tick``     the batched LSTM step (thread backend, per route group)
 ``worker``   the batched LSTM step inside the worker process
 ``pipe``     process-backend pipe round-trip minus worker compute
-``deliver``  verdict frame + historian/alert/monitor fan-out
+``deliver``  its group's end → span finish: the drain's later groups,
+             its verdict frames and the historian/alert/monitor
+             fan-out up to its own
 =========  ====================================================
+
+The stages of a span add up to its wall time from frame receipt to
+finish.
 
 Sampling is **stream-clock-seeded**, never wall-clock: a package is
 sampled iff ``crc32("<stream>:<seq>") % sample_every == 0``, and its

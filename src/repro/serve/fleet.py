@@ -53,6 +53,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.registry.store import ModelRegistry
 
 
+class ObsBindError(OSError):
+    """The observability API could not take the runner's ``http_port``."""
+
+
 @dataclass(frozen=True)
 class SiteSpec:
     """One simulated site: a named stream bound to a scenario capture.
@@ -299,7 +303,11 @@ class FleetRunner:
         return self.registry.resolve(scenario)[0]
 
     def run(self) -> FleetResult:
-        """Start a gateway, stream every site concurrently, gather verdicts."""
+        """Start a gateway, stream every site concurrently, gather verdicts.
+
+        Raises :class:`ObsBindError` when ``http_port`` is taken; the
+        gateway is stopped first.
+        """
         config = self.config
         sites = config.sites()
         captures = {site.name: site.capture() for site in sites}
@@ -393,15 +401,18 @@ class FleetRunner:
             if self.http_port is not None:
                 from repro.obs.httpapi import ObsServer, start_obs_in_thread
 
-                obs_handle = start_obs_in_thread(
-                    ObsServer(
-                        gateway=handle.gateway,
-                        metrics=self.metrics,
-                        historian=self.historian,
-                        recent_alerts=recent,
-                        port=self.http_port,
+                try:
+                    obs_handle = start_obs_in_thread(
+                        ObsServer(
+                            gateway=handle.gateway,
+                            metrics=self.metrics,
+                            historian=self.historian,
+                            recent_alerts=recent,
+                            port=self.http_port,
+                        )
                     )
-                )
+                except OSError as exc:
+                    raise ObsBindError(*exc.args) from exc
                 self.http_address = obs_handle.address
             host, port = handle.address
             started = time.perf_counter()

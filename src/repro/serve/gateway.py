@@ -21,7 +21,14 @@ Architecture
   the shard's sessions accumulate in its bounded queue; the worker
   drains the queue and advances all waiting streams with **one batched
   LSTM step per engine per tick**, so inference stays batched under
-  load exactly like the offline engine.
+  load exactly like the offline engine.  A drain splits into the
+  successive ticks a stream's order needs (each stream at most once
+  per tick) and hands all of them to the pool in **one call**, the
+  groups of every tick in tick order; the pool runs the groups in
+  order and a route may repeat, so a process-mode drain is one pipe
+  round trip however many ticks it holds.  Every verdict frame of the
+  drain is then written, one write per session, before the historian,
+  alert, monitor and tracer fan-out runs.
 - Backpressure is end-to-end: a full shard queue suspends that
   session's reader coroutine, which stops draining the socket, which
   fills the client's TCP window.  A client that stops *reading* its
@@ -75,6 +82,7 @@ gateway on a background event loop for tests, benchmarks and notebooks.
 from __future__ import annotations
 
 import asyncio
+import threading
 from collections import deque
 from contextlib import AsyncExitStack
 from dataclasses import dataclass, replace
@@ -107,6 +115,7 @@ from repro.serve.transport import (
     TransportError,
 )
 from repro.serve.workers import (
+    OBSERVE_MAX_GROUPS,
     STATE_BLOB_KIND,
     EnginePool,
     WorkerError,
@@ -129,6 +138,11 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Stream id placeholder acked to untagged streams awaiting
 #: auto-identification (no engine row is assigned yet).
 PENDING_STREAM_ID = 0xFFFFFFFF
+
+#: :meth:`DetectionGateway.settle` waits at most this long for the
+#: gateway's loop, checking every poll interval that the loop still runs.
+_SETTLE_SECONDS = 5.0
+_SETTLE_POLL_SECONDS = 0.01
 
 
 def _engine_stats_entry(raw: dict[str, Any]) -> dict[str, int]:
@@ -172,7 +186,8 @@ class GatewayConfig:
     #: pool inline on the event loop (zero IPC, but every shard contends
     #: for one GIL).  ``"process"`` runs the same pool in its own OS
     #: worker process (see :mod:`repro.serve.workers`), one pipe round
-    #: trip per tick; verdicts are bit-identical between the two.
+    #: trip per drain of the shard queue; verdicts are bit-identical
+    #: between the two.
     worker_mode: str = "thread"
 
     def validate(self) -> "GatewayConfig":
@@ -243,7 +258,17 @@ class _Session:
 
 
 class _Shard:
-    """One engine pool plus the worker that batches its streams' packages."""
+    """One engine pool plus the worker that batches its streams' packages.
+
+    The worker drains its queue in *drains*: the packages waiting at one
+    moment, split into the ticks the engine runs one after another
+    (:meth:`_build_tick`).  All ticks of a drain go to the pool in one
+    ``observe`` call, every tick's groups concatenated in tick order; a
+    route label may repeat, and the pool runs the groups in order, so
+    the engine steps through exactly the ticks it would run one call at
+    a time.  A drain ends early at the tick where a periodic checkpoint
+    falls due and at the OBSERVE frame's group limit.
+    """
 
     def __init__(self, gateway: "DetectionGateway", index: int,
                  max_pending: int, pool: EnginePool) -> None:
@@ -260,12 +285,12 @@ class _Shard:
             label = str(index)
             self._t_tick = metrics.histogram(
                 "gateway_tick_seconds",
-                "One batched engine step (compute + delivery)",
+                "One drain of the shard queue (pool call + delivery)",
                 shard=label,
             )
             self._h_batch = metrics.histogram(
                 "gateway_tick_batch_size",
-                "Streams advanced per tick",
+                "Streams advanced per engine tick",
                 DEFAULT_SIZE_BUCKETS,
                 shard=label,
             )
@@ -279,7 +304,7 @@ class _Shard:
         self.pool: EnginePool | WorkerPool = pool
         self.queue: asyncio.Queue = asyncio.Queue(maxsize=max_pending)
         self.bound_streams = 0
-        #: Serializes a tick's route reads plus its pool call against
+        #: Serializes a drain's route reads plus its pool call against
         #: route mutations (hot-swap) and pool snapshots (checkpoint).
         #: Thread-mode holders never yield, so there it is never
         #: contended.
@@ -310,7 +335,7 @@ class _Shard:
         return groups, count, leftover
 
     async def run(self) -> None:
-        """Drain the queue forever, one batched tick at a time."""
+        """Take what the queue holds, drain it, repeat forever."""
         while True:
             items = [await self.queue.get()]
             while True:
@@ -320,47 +345,96 @@ class _Shard:
                     break
             pending = deque(items)
             while pending:
-                pending = await self._tick(pending)
+                pending = await self._drain(pending)
 
-    async def _tick(self, pending: deque) -> deque:
-        """One batched engine step for every stream waiting in ``pending``."""
+    def _take_ticks(self, pending: deque) -> tuple[list, list[int], deque]:
+        """Split ``pending`` into this drain's ticks; returns the rest.
+
+        Returns every tick's ``(route, {stream_id: item})`` groups,
+        concatenated in tick order, and each tick's row count.  The
+        drain stops after the tick that makes a periodic checkpoint due,
+        so checkpoints land on the package counts of a shard that runs
+        one tick per call, and before a tick that would pass the OBSERVE
+        frame's group limit.
+        """
+        gateway = self.gateway
+        every = gateway.config.checkpoint_every
+        budget = every - gateway._since_checkpoint if every else None
+        batches: list[tuple[Route, dict[int, tuple]]] = []
+        counts: list[int] = []
+        while pending:
+            groups, count, rest = self._build_tick(pending)
+            if batches and len(batches) + len(groups) > OBSERVE_MAX_GROUPS:
+                break
+            batches.extend(groups.items())
+            counts.append(count)
+            pending = rest
+            if budget is not None:
+                budget -= count
+                if budget <= 0:
+                    break
+        return batches, counts, pending
+
+    async def _drain(self, pending: deque) -> deque:
+        """Run the next drain of ``pending`` in one pool call."""
         gateway = self.gateway
         started = perf_counter() if self._t_tick is not None else 0.0
         traced = gateway.tracer is not None
         async with self.lock:
-            groups, count, leftover = self._build_tick(pending)
-            if traced:
-                now = perf_counter()
-                for by_stream in groups.values():
-                    for item in by_stream.values():
-                        if item[3] is not None:
-                            item[3].stages["queue"] = now - item[3].mark
+            batches, counts, pending = self._take_ticks(pending)
+            picked = perf_counter() if traced else 0.0
             results, stages = await self.pool.observe(
                 [
                     (route, {sid: item[2] for sid, item in by_stream.items()})
-                    for route, by_stream in groups.items()
+                    for route, by_stream in batches
                 ],
                 traced,
             )
         if stages is not None:
-            for by_stream, stage in zip(groups.values(), stages):
-                for item in by_stream.values():
-                    if item[3] is not None:
-                        item[3].stages.update(stage)
-        # Account (and maybe checkpoint) before delivery: a write can
-        # flush to the socket synchronously, so this ordering
-        # guarantees a client can never observe a verdict the gateway's
-        # own counters don't cover yet.  The checkpoint runs after this
-        # shard's lock is released, because it takes every shard lock.
-        gateway._after_work(count)
+            self._attribute(batches, stages, picked)
+        # Account before delivery: a write can flush to the socket
+        # synchronously, so this ordering guarantees a client can never
+        # observe a verdict the gateway's own counters don't cover yet.
+        gateway._after_work(sum(counts))
+        gateway._deliver([
+            answer
+            for (_, by_stream), (verdicts, levels) in zip(batches, results)
+            for answer in zip(by_stream.values(), verdicts, levels)
+        ])
+        # Checkpoint after the fan-out, so the incident and monitor
+        # state it saves covers exactly the packages its engines have
+        # seen.  It runs after this shard's lock is released, because it
+        # takes every shard lock.
         if gateway._checkpoint_due():
             await gateway._checkpoint()
-        for by_stream, (verdicts, levels) in zip(groups.values(), results):
-            gateway._deliver(list(by_stream.values()), verdicts, levels)
         if self._t_tick is not None:
             self._t_tick.observe(perf_counter() - started)
-            self._h_batch.observe(count)
-        return leftover
+            for count in counts:
+                self._h_batch.observe(count)
+        return pending
+
+    @staticmethod
+    def _attribute(batches: list, stages: list[dict], picked: float) -> None:
+        """Stamp each traced package's queue and compute stages.
+
+        A package waits in ``queue`` from its enqueue until its own group
+        starts: the drain's pickup plus the compute of the groups before
+        it (in process mode, their worker seconds from the OBSERVE
+        trailer; the pipe is one cost shared by the whole call).  Its
+        span's mark then moves to the end of its group's compute, so
+        ``deliver`` covers the later groups, the frame writes and the
+        fan-out up to its own.
+        """
+        waited = 0.0
+        for (_, by_stream), stage in zip(batches, stages):
+            computed = sum(stage.values())
+            for item in by_stream.values():
+                span = item[3]
+                if span is not None:
+                    span.stages["queue"] = picked + waited - span.mark
+                    span.stages.update(stage)
+                    span.mark = picked + waited + computed
+            waited += stage.get("tick", 0.0) + stage.get("worker", 0.0)
 
 
 class DetectionGateway:
@@ -678,6 +752,37 @@ class DetectionGateway:
     async def wait_done(self) -> None:
         """Block until ``max_packages`` packages have been served."""
         await self._done.wait()
+
+    def settle(self) -> None:
+        """From another thread: wait until the gateway's loop has
+        finished the step it is running.
+
+        A drain writes its verdict frames before its historian, alert,
+        monitor and tracer fan-out, so a client can hold a verdict whose
+        fan-out is still running.  Once this returns, the fan-out of
+        every verdict sent before the call is done.  A no-op on the
+        gateway's own loop and on a gateway that is not running; returns
+        as soon as the loop stops, and after at most five seconds.
+        """
+        loop = self._loop
+        if loop is None or not loop.is_running():
+            return
+        try:
+            if asyncio.get_running_loop() is loop:
+                return
+        except RuntimeError:
+            pass  # called from a thread without a loop
+        turned = threading.Event()
+        try:
+            loop.call_soon_threadsafe(turned.set)
+        except RuntimeError:
+            return  # the loop closed meanwhile
+        # A loop that stops before it reaches the callback never runs
+        # it, so poll for that rather than wait out the whole deadline.
+        deadline = perf_counter() + _SETTLE_SECONDS
+        while not turned.wait(_SETTLE_POLL_SECONDS):
+            if not loop.is_running() or perf_counter() >= deadline:
+                return
 
     async def stop(self, checkpoint: bool = True) -> None:
         """Graceful shutdown; ``checkpoint=False`` models a hard crash.
@@ -1154,23 +1259,30 @@ class DetectionGateway:
             shard._g_depth.set(depth)
             self._m_queue_peak.max(depth)
 
-    def _deliver(self, items, verdicts, levels) -> None:
+    def _deliver(self, answered) -> None:
+        """Answer one drain: every verdict frame first, then the fan-out.
+
+        ``answered`` holds ``(item, verdict, level)`` for every package
+        of the drain in tick order.  Each session gets its frames in one
+        write, in seq order; only then do the historian, alerts,
+        monitors and tracer see each package in turn.
+        """
+        frames: dict[_Session, list[bytes]] = {}
+        for (session, seq, package, _), verdict, level in answered:
+            frames.setdefault(session, []).append(
+                session.adapter.frame_verdict(
+                    seq, bool(verdict), int(level),
+                    unit_id=package.address & 0xFF,
+                )
+            )
         max_buffer = self.config.max_write_buffer
+        for session, payload in frames.items():
+            session.send(b"".join(payload), max_buffer)
         historian = self.historian
         monitors = self.monitors
         tracer = self.tracer
         fallback = (self._model_info or {}).get("scenario")
-        for (session, seq, package, span), verdict, level in zip(
-            items, verdicts, levels
-        ):
-            deliver_started = perf_counter() if span is not None else 0.0
-            session.send(
-                session.adapter.frame_verdict(
-                    seq, bool(verdict), int(level),
-                    unit_id=package.address & 0xFF,
-                ),
-                max_buffer,
-            )
+        for (session, seq, package, span), verdict, level in answered:
             route = session.route
             scenario = (
                 route.scenario
@@ -1201,7 +1313,7 @@ class DetectionGateway:
                 if drift is not None:
                     self.alerts.inject(drift)
             if span is not None and tracer is not None:
-                span.stages["deliver"] = perf_counter() - deliver_started
+                span.stages["deliver"] = perf_counter() - span.mark
                 tracer.finish(
                     span,
                     scenario=scenario,
@@ -1392,6 +1504,8 @@ class GatewayHandle:
         self._runner.stop(self.gateway.stop(checkpoint), timeout)
 
     def stats(self) -> dict[str, Any]:
+        """The gateway's stats, covering every verdict sent so far."""
+        self.gateway.settle()
         return self.gateway.stats()
 
 

@@ -15,7 +15,8 @@ backend:
   (:func:`serve_request`), and :class:`WorkerPool` is its gateway-side
   stand-in with the same methods.  Thread-mode shards share one GIL; a
   worker process computes on its own core, at the price of one pipe
-  round trip per op.
+  round trip per op.  A gateway shard sends every tick of one queue
+  drain in a single OBSERVE, so it pays one round trip per drain.
 
 The channel is **pickle-free**: requests and responses are hand-framed
 byte strings.  Feature rows cross as the fixed-layout
@@ -92,6 +93,9 @@ _U64 = struct.Struct(">Q")
 _SWAP_REQUEST = struct.Struct(">III")  # old version, new version, stream id
 _SWAP_RESPONSE = struct.Struct(">IQ")  # new stream id, old version's count
 
+#: Most engine groups one OBSERVE request carries (its U16 group count).
+OBSERVE_MAX_GROUPS = 0xFFFF
+
 #: Opcode -> metric label for pipe round-trip histograms.
 _OP_NAMES = {
     OP_INIT: "init",
@@ -144,8 +148,11 @@ class EnginePool:
     ) -> tuple[list, "list[dict[str, float]] | None"]:
         """One batched step per ``(route, {stream_id: package})`` group.
 
-        Returns each group's ``(verdicts, levels)`` and, when ``traced``,
-        each group's trace stages: ``{"tick": engine seconds}``.
+        The groups run one after another in list order, and a route may
+        repeat: a later group of the same route steps that engine again,
+        so several ticks ride one call.  Returns each group's
+        ``(verdicts, levels)`` and, when ``traced``, each group's trace
+        stages: ``{"tick": engine seconds}``.
         """
         results, stages = [], [] if traced else None
         for route, batch in groups:
@@ -297,9 +304,13 @@ def decode_seen(resp: bytes) -> int:
 
 
 def encode_observe(groups: "list[tuple[str, list[tuple[int, bytes]]]]") -> bytes:
-    """OBSERVE: per engine group, the tick's ``(stream_id, record)``
-    rows — records are :func:`~repro.serve.transport.encode_stream_data`
-    bytes (seq field unused on this hop)."""
+    """OBSERVE: per engine group, its ``(stream_id, record)`` rows —
+    records are :func:`~repro.serve.transport.encode_stream_data` bytes
+    (seq field unused on this hop).
+
+    The worker runs the groups in order and a label may repeat, so one
+    request can carry several successive ticks; at most
+    :data:`OBSERVE_MAX_GROUPS` groups fit the frame."""
     buf = bytearray(OP_OBSERVE)
     buf += _U16.pack(len(groups))
     for label, items in groups:
@@ -683,7 +694,8 @@ class WorkerPool:
         traced: bool = False,
     ) -> tuple[list, "list[dict[str, float]] | None"]:
         """Same contract as :meth:`EnginePool.observe`; traced stages are
-        ``{"worker": engine seconds, "pipe": round trip beyond compute}``."""
+        ``{"worker": engine seconds, "pipe": round trip beyond compute}``,
+        the pipe one cost shared by every group of the call."""
         started = perf_counter() if traced else 0.0
         request = encode_observe(
             [

@@ -22,6 +22,9 @@ from repro.obs.metrics import MetricsRegistry
 class _StubGateway:
     """Just enough stats() surface for dashboard/stats endpoints."""
 
+    def settle(self):
+        pass
+
     def stats(self):
         return {
             "mode": "single",

@@ -73,11 +73,13 @@ def assert_state_equal(left, right, path="state"):
 # ----------------------------------------------------------------------
 
 
-def exchanges(detector, capture, streams, steps, offset):
+def exchanges(detector, capture, streams, steps, ticks, offset):
     """Every op through :func:`serve_request` on one in-process pool.
 
-    Yields ``(response, decode, check)``: ``check(decode(response))``
-    compares against a reference engine driven identically.
+    Each OBSERVE names the one label ``ticks`` times, once per
+    successive tick, as a gateway shard's drain does.  Yields
+    ``(response, decode, check)``: ``check(decode(response))`` compares
+    against a reference engine driven one tick at a time.
     """
     pool = EnginePool(lambda route: detector)
     reference = detector.engine(0)
@@ -89,23 +91,31 @@ def exchanges(detector, capture, streams, steps, offset):
             decode_attach,
             lambda got, want=expected: got == want,
         )
-    for step in range(steps):
-        batch = {
-            sid: capture[(offset + step * streams + sid) % len(capture)]
-            for sid in reference.stream_ids
-        }
-        verdicts, levels = reference.observe_batch(batch)
-        want = [(bool(v), int(lv)) for v, lv in zip(verdicts, levels)]
-        request = encode_observe(
-            [(label, [(sid, encode_stream_data(p, 0)) for sid, p in batch.items()])]
-        )
+    at = offset
+    for _ in range(steps):
+        groups, want = [], []
+        for _ in range(ticks):
+            batch = {
+                sid: capture[(at + sid) % len(capture)]
+                for sid in reference.stream_ids
+            }
+            at += streams
+            verdicts, levels = reference.observe_batch(batch)
+            want += [(bool(v), int(lv)) for v, lv in zip(verdicts, levels)]
+            groups.append(
+                (label, [(sid, encode_stream_data(p, 0)) for sid, p in batch.items()])
+            )
 
-        def decode(resp, count=len(batch)):
+        def decode(resp, count=len(want)):
             rows, seconds = decode_verdicts(resp, count)
-            assert len(seconds) == 1 and seconds[0] >= 0.0
+            assert len(seconds) == ticks and min(seconds) >= 0.0
             return rows
 
-        yield serve_request(pool, request), decode, lambda got, w=want: got == w
+        yield (
+            serve_request(pool, encode_observe(groups)),
+            decode,
+            lambda got, w=want: got == w,
+        )
     last = reference.stream_ids[-1]
     yield (
         serve_request(pool, encode_seen(label, last)),
@@ -146,14 +156,15 @@ class TestCodecProperties:
     @given(
         streams=st.integers(1, 3),
         steps=st.integers(0, 3),
+        ticks=st.integers(1, 3),
         offset=st.integers(0, 149),
         data=st.data(),
     )
     def test_responses_round_trip_and_reject_damage(
-        self, detector, capture, streams, steps, offset, data
+        self, detector, capture, streams, steps, ticks, offset, data
     ):
         for resp, decode, check in exchanges(
-            detector, capture, streams, steps, offset
+            detector, capture, streams, steps, ticks, offset
         ):
             assert check(decode(resp))
             for cut in range(len(resp)):

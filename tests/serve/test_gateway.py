@@ -9,9 +9,12 @@ changes no decision.
 
 from __future__ import annotations
 
+import asyncio
 import socket
 import threading
 import time
+from collections import deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -36,7 +39,7 @@ from repro.serve.transport import (
     encode_open,
     wrap_pdu,
 )
-from repro.utils.artifact import ArtifactError
+from repro.utils.artifact import ArtifactError, read_meta
 
 
 @pytest.fixture()
@@ -227,6 +230,98 @@ class TestFailover:
         finally:
             second_handle.stop()
 
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_periodic_checkpoint_cuts_a_multi_tick_drain(
+        self, mode, detector, capture, tmp_path
+    ):
+        """Two streams on one engine tick at most two rows at a time, so
+        the first periodic checkpoint lands on the first tick boundary at
+        or past the due count, however many ticks the drain that crossed
+        it held.  An odd interval puts that boundary inside a tick."""
+        every = 101
+        checkpoint = tmp_path / "gateway.npz"
+        handle = start_in_thread(
+            detector,
+            GatewayConfig(
+                worker_mode=mode,
+                checkpoint_path=str(checkpoint),
+                checkpoint_every=every,
+            ),
+        )
+        host, port = handle.address
+        halves = {"north": capture[0::2], "south": capture[1::2]}
+        results = {}
+
+        def run(key):
+            results[key] = ReplayClient(host, port, stream_key=key).replay(
+                halves[key]
+            )
+
+        threads = [threading.Thread(target=run, args=(key,)) for key in halves]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(30.0)
+            assert set(results) == set(halves)
+            assert all(result.complete for result in results.values())
+            assert handle.stats()["checkpoints_written"] == 1
+        finally:
+            handle.stop(checkpoint=False)
+        processed = read_meta(str(checkpoint))["meta"]["processed"]
+        assert every <= processed < every + 2
+        routes = DetectionGateway.from_checkpoint(
+            str(checkpoint), detector=detector
+        ).stats()["routes"]
+        assert sum(route["packages"] for route in routes.values()) == processed
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_periodic_checkpoint_is_a_consistent_snapshot(
+        self, mode, detector, capture, tmp_path
+    ):
+        """A periodic checkpoint's drift-monitor state covers exactly
+        the packages its engines have seen, so a kill and a resume from
+        it end in the monitor state of an uninterrupted run."""
+
+        def run(handle, packages):
+            host, port = handle.address
+            try:
+                result = ReplayClient(host, port, stream_key="plant").replay(
+                    packages
+                )
+                assert result.complete
+            finally:
+                handle.stop(checkpoint=False)
+            return result, handle.gateway.monitors.state_dict()
+
+        _, uninterrupted = run(
+            start_in_thread(detector, GatewayConfig(worker_mode=mode)), capture
+        )
+        checkpoint = tmp_path / "gateway.npz"
+        run(
+            start_in_thread(
+                detector,
+                GatewayConfig(
+                    worker_mode=mode,
+                    checkpoint_path=str(checkpoint),
+                    checkpoint_every=40,
+                ),
+            ),
+            capture[:100],
+        )
+        resumed, state = run(
+            start_in_thread(
+                None,
+                gateway=DetectionGateway.from_checkpoint(
+                    str(checkpoint), GatewayConfig(worker_mode=mode),
+                    detector=detector,
+                ),
+            ),
+            capture,
+        )
+        assert resumed.start == 80
+        assert state == uninterrupted
+
     def test_shutdown_checkpoint_resumes_exactly(self, detector, capture, tmp_path):
         checkpoint = tmp_path / "gateway.npz"
         config = GatewayConfig(checkpoint_path=str(checkpoint))
@@ -306,6 +401,80 @@ class TestFailover:
         save_detector(detector, path)
         with pytest.raises(ArtifactError):
             load_gateway_checkpoint(path)
+
+
+class TestDrainSplit:
+    """Where a shard cuts the packages it took from its queue into
+    drains, each one pool call."""
+
+    @staticmethod
+    def pending(routes):
+        """One queue item per ``(scenario, stream_id)``, in order."""
+        return deque(
+            (
+                SimpleNamespace(
+                    route=RouteBinding(0, scenario, 1, stream_id)
+                ),
+                seq, None, None,
+            )
+            for seq, (scenario, stream_id) in enumerate(routes)
+        )
+
+    def test_cut_before_the_observe_group_limit(self, detector, monkeypatch):
+        monkeypatch.setattr("repro.serve.gateway.OBSERVE_MAX_GROUPS", 5)
+        shard = DetectionGateway(detector)._shards[0]
+        pending = self.pending([("a", 0), ("b", 0)] * 4)
+        batches, counts, rest = shard._take_ticks(pending)
+        # Two groups a tick: a third tick would make six.
+        assert counts == [2, 2]
+        assert [route for route, _ in batches] == [("a", 1), ("b", 1)] * 2
+        assert [item[1] for item in rest] == [4, 5, 6, 7]
+
+    def test_cut_at_the_tick_a_checkpoint_falls_due(self, detector, tmp_path):
+        gateway = DetectionGateway(
+            detector,
+            GatewayConfig(
+                checkpoint_path=str(tmp_path / "gateway.npz"),
+                checkpoint_every=5,
+            ),
+        )
+        gateway._since_checkpoint = 2
+        pending = self.pending([("a", 0), ("a", 1)] * 4)
+        batches, counts, rest = gateway._shards[0]._take_ticks(pending)
+        assert counts == [2, 2]  # 4 and 6 packages: due at the second
+        assert [sorted(by_stream) for _, by_stream in batches] == [[0, 1]] * 2
+        assert [item[1] for item in rest] == [4, 5, 6, 7]
+
+
+class TestSettle:
+    def test_returns_once_the_loop_stops(self, detector):
+        """settle() queues a callback on the gateway's loop.  A loop
+        that stops before reaching it never runs it, so settle() has to
+        notice the stop rather than wait out its whole deadline."""
+        gateway = DetectionGateway(detector)
+        loop = asyncio.new_event_loop()
+        try:
+            loop.run_until_complete(gateway.start())
+            busy = threading.Event()
+
+            def last_step():
+                busy.set()
+                time.sleep(0.3)  # settle() queues its callback meanwhile
+                loop.stop()  # so the loop stops before it runs it
+
+            loop.call_soon(last_step)
+            thread = threading.Thread(target=loop.run_forever)
+            thread.start()
+            assert busy.wait(5.0)
+            started = time.perf_counter()
+            gateway.settle()
+            waited = time.perf_counter() - started
+            thread.join(5.0)
+            assert not thread.is_alive()
+            assert waited < 2.0
+        finally:
+            loop.run_until_complete(gateway.stop(checkpoint=False))
+            loop.close()
 
 
 class TestProtocolEdges:

@@ -190,6 +190,39 @@ class TestHttpApiOnLiveGateway:
                 obs.stop()
                 handle.stop()
 
+    def test_reads_cover_every_verdict_a_client_holds(
+        self, tmp_path, detector, capture
+    ):
+        """A drain writes its verdict frames before its historian
+        appends, so a client can hold verdicts the historian has not
+        logged yet.  An HTTP read waits for the gateway's loop to finish
+        that drain, so it sees every one of them."""
+        with Historian(tmp_path / "hist") as historian:
+            handle = start_in_thread(
+                detector, GatewayConfig(), historian=historian
+            )
+            obs = start_obs_in_thread(
+                ObsServer(gateway=handle.gateway, historian=historian)
+            )
+            try:
+                host, port = handle.address
+                ohost, oport = obs.address
+                for round_ in range(4):
+                    key = f"site-{round_}"
+                    result = ReplayClient(
+                        host, port, stream_key=key, window=64
+                    ).replay(capture)
+                    assert result.complete
+                    query = (
+                        f"http://{ohost}:{oport}/historian/query"
+                        f"?stream={key}&limit=1000"
+                    )
+                    with urllib.request.urlopen(query, timeout=5) as r:
+                        assert json.loads(r.read())["count"] == len(capture)
+            finally:
+                obs.stop()
+                handle.stop()
+
     def test_alerts_carry_model_lineage(self, registry, scenario_detectors):
         # Routed gateways stamp every alert with the (scenario, version)
         # that judged the package, so alert storms correlate with

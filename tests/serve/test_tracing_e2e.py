@@ -10,12 +10,14 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from time import perf_counter
 
 import numpy as np
 import pytest
 
 from repro.cli import main
 from repro.obs import MetricsRegistry, ObsServer, start_obs_in_thread
+from repro.obs.metrics import DEFAULT_SIZE_BUCKETS
 from repro.obs.tracing import TraceConfig, Tracer
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient
@@ -84,6 +86,60 @@ class TestPureObserver:
             assert span["total_seconds"] == pytest.approx(
                 sum(span["stages"].values())
             )
+
+
+class TestStageAttribution:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_stages_add_up_to_each_span_under_drains(
+        self, mode, detector, capture, monkeypatch
+    ):
+        """A package deep in a multi-tick drain still has its whole wall
+        time, from frame receipt to span finish, in its stages: the
+        groups ahead of it count as queue, those behind it and the
+        frame writes as deliver."""
+        tracer = Tracer(TraceConfig(sample_every=1))
+        received, finished = {}, {}
+        start, finish = tracer.start, tracer.finish
+
+        def timed_start(stream, seq, mark):
+            received[(stream, seq)] = mark
+            return start(stream, seq, mark)
+
+        def timed_finish(span, **kwargs):
+            finished[(span.stream, span.seq)] = perf_counter()
+            return finish(span, **kwargs)
+
+        monkeypatch.setattr(tracer, "start", timed_start)
+        monkeypatch.setattr(tracer, "finish", timed_finish)
+        metrics = MetricsRegistry()
+        handle = start_in_thread(
+            detector,
+            GatewayConfig(worker_mode=mode),
+            metrics=metrics,
+            tracer=tracer,
+        )
+        try:
+            host, port = handle.address
+            result = ReplayClient(
+                host, port, stream_key="plant", window=16
+            ).replay(capture)
+            assert result.complete
+        finally:
+            handle.stop()
+
+        # The drains held several ticks, or the test shows nothing.
+        drains = metrics.histogram("gateway_tick_seconds", shard="0").count
+        ticks = metrics.histogram(
+            "gateway_tick_batch_size", buckets=DEFAULT_SIZE_BUCKETS, shard="0"
+        ).count
+        assert ticks == len(capture) and drains < ticks / 2
+        spans = tracer.recent(limit=len(capture))
+        assert len(spans) == len(capture)
+        for span in spans:
+            key = (span["stream"], span["seq"])
+            wall = finished[key] - received[key]
+            unattributed = wall - span["total_seconds"]
+            assert abs(unattributed) < max(0.05 * wall, 50e-6), span
 
 
 class TestKillResumeDeterminism:

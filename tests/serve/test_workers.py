@@ -16,6 +16,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.obs import MetricsRegistry
 from repro.persistence import parse_route_label, route_label
 from repro.registry import ModelRegistry
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
@@ -246,6 +247,45 @@ class TestProcessGateway:
             for sock in sockets:
                 sock.close()
             handle.stop()
+
+    def test_queued_packages_cost_one_observe_round_trip(
+        self, detector, capture
+    ):
+        """k packages queued together on a shard cross its worker pipe
+        in one OBSERVE and still step its engine k times.
+
+        Each client sends its whole window in one write, so the gateway
+        queues all k packages before the shard drains its queue.
+        """
+        k = 8
+        expected = detector.detect(capture[:k])
+        metrics = MetricsRegistry()
+        handle = start_in_thread(
+            detector,
+            GatewayConfig(num_shards=2, worker_mode="process"),
+            metrics=metrics,
+        )
+        try:
+            host, port = handle.address
+            for key in ("plant-0", "plant-1"):
+                result = ReplayClient(
+                    host, port, stream_key=key, window=k
+                ).replay(capture[:k])
+                assert result.complete and result.start == 0
+                assert np.array_equal(result.anomalies, expected.is_anomaly)
+                assert np.array_equal(result.levels, expected.level)
+            stats = handle.stats()
+        finally:
+            handle.stop()
+        assert {stats["routes"][key]["shard"] for key in stats["routes"]} == {0, 1}
+        assert [shard["ticks"] for shard in stats["shards"]] == [k, k]
+        round_trips = [
+            metrics.histogram(
+                "worker_pipe_roundtrip_seconds", op="observe", worker=str(i)
+            ).count
+            for i in range(2)
+        ]
+        assert round_trips == [1, 1]
 
     def test_kill_and_resume_is_bit_identical(
         self, detector, capture, offline, tmp_path

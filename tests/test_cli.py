@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import socket
+import threading
 
 import pytest
 
@@ -401,3 +404,67 @@ class TestRegistryCommand:
     def test_heterogeneous_fleet_rejects_explicit_model(self, model_path):
         with pytest.raises(SystemExit):
             main(["fleet", "--heterogeneous", "--model", str(model_path)])
+
+
+class TestBindFailures:
+    """A port that is already taken is a one-line ``error:`` exit, and
+    the failed start leaves no gateway, shard worker or historian
+    writer running."""
+
+    @pytest.fixture()
+    def held_port(self):
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            sock.listen()
+            yield sock.getsockname()[1]
+
+    @staticmethod
+    def assert_one_line_error(excinfo):
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ") and "\n" not in message, message
+        assert "in use" in message, message
+
+    @staticmethod
+    def historian_writers():
+        return sum(
+            thread.name == "repro-historian" for thread in threading.enumerate()
+        )
+
+    def test_serve_port(self, model_path, held_port, tmp_path):
+        writers = self.historian_writers()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--model", str(model_path), "--quiet",
+                  "--port", str(held_port), "--historian", str(tmp_path / "h")])
+        self.assert_one_line_error(excinfo)
+        assert self.historian_writers() == writers
+
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_serve_http_port(self, model_path, held_port, tmp_path, mode):
+        writers = self.historian_writers()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--model", str(model_path), "--quiet",
+                  "--port", "0", "--shards", "2", "--worker-mode", mode,
+                  "--http-port", str(held_port),
+                  "--historian", str(tmp_path / "h")])
+        self.assert_one_line_error(excinfo)
+        assert self.historian_writers() == writers
+        assert not [
+            child for child in multiprocessing.active_children()
+            if child.name.startswith("repro-shard-worker")
+        ]
+
+    def test_other_os_errors_keep_their_traceback(self, model_path, tmp_path):
+        """Only the binds are one-line errors; the gateway still stops
+        and the historian still closes on any other failure."""
+        writers = self.historian_writers()
+        with pytest.raises(IsADirectoryError):
+            main(["serve", "--model", str(model_path), "--quiet",
+                  "--port", "0", "--historian", str(tmp_path / "h"),
+                  "--port-file", str(tmp_path)])
+        assert self.historian_writers() == writers
+
+    def test_fleet_http_port(self, model_path, held_port):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "--model", str(model_path), "--sites", "2",
+                  "--cycles", "5", "--http-port", str(held_port)])
+        self.assert_one_line_error(excinfo)
