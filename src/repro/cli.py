@@ -81,7 +81,6 @@ from repro.obs.tracing import STAGE_ORDER, aggregate_spans, load_spans
 from repro.registry import ModelRegistry, RegistryError
 from repro.scenarios import get_scenario, scenario_names
 from repro.serve.alerts import (
-    AlertConfig,
     AlertPipeline,
     JsonlSink,
     RecentAlertsBuffer,
@@ -730,20 +729,19 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ).validate()
     except ValueError as exc:
         raise SystemExit(f"error: {exc}") from exc
+    try:
+        recent = RecentAlertsBuffer(args.alerts_buffer)
+    except ValueError as exc:
+        raise SystemExit(f"error: --alerts-buffer: {exc}") from exc
     metrics = MetricsRegistry()
     tracer = _build_tracer(args, metrics)
     historian = (
         Historian(args.historian, metrics=metrics) if args.historian else None
     )
-    try:
-        alert_config = AlertConfig(recent_capacity=args.alerts_buffer).validate()
-    except ValueError as exc:
-        raise SystemExit(f"error: {exc}") from exc
-    recent = RecentAlertsBuffer(alert_config.recent_capacity)
     sinks = [recent] if args.quiet else [recent, stdout_sink]
     if args.alerts_jsonl:
         sinks.append(JsonlSink(args.alerts_jsonl))
-    pipeline = AlertPipeline(sinks, config=alert_config, metrics=metrics)
+    pipeline = AlertPipeline(sinks, metrics=metrics)
 
     registry = ModelRegistry(args.registry) if args.registry else None
     detector = load_detector(args.model) if args.model else None

@@ -4,7 +4,7 @@ Everything needed to put the trained framework *on the link*:
 Modbus/TCP transport with an incremental, garbage-tolerant decoder
 (:mod:`~repro.serve.transport`), pluggable protocol adapters for
 multi-dialect fleets — Modbus, IEC-104-style, DNP3-lite — with
-auto-sniffing (:mod:`~repro.serve.protocols`), the sharded asyncio
+dialect negotiation (:mod:`~repro.serve.protocols`), the sharded asyncio
 gateway (:mod:`~repro.serve.gateway`), the alert pipeline
 (:mod:`~repro.serve.alerts`), a replay client for load generation
 and fail-over drills (:mod:`~repro.serve.replay`), and the

@@ -186,7 +186,6 @@ class AlertConfig:
     max_alerts_per_window: int = 20  # per-stream emission cap per rate window
     escalate_threshold: int = 3  # emissions within escalate_window => escalate
     escalate_window: float = 30.0
-    recent_capacity: int = 256  # ring size for RecentAlertsBuffer sinks
 
     def validate(self) -> "AlertConfig":
         if self.dedup_window < 0:
@@ -205,10 +204,6 @@ class AlertConfig:
         if self.escalate_window <= 0:
             raise ValueError(
                 f"escalate_window must be > 0, got {self.escalate_window}"
-            )
-        if self.recent_capacity < 1:
-            raise ValueError(
-                f"recent_capacity must be >= 1, got {self.recent_capacity}"
             )
         return self
 
@@ -348,6 +343,48 @@ class AlertPipeline:
                 self._sink_errors += 1
 
     # ------------------------------------------------------------------
+
+    def state_dict(self) -> dict[str, Any]:
+        """Per-stream dedup, rate-limit and escalation state, JSON-able:
+        it rides gateway checkpoint metadata, so a resumed gateway
+        suppresses exactly what the uninterrupted one would have."""
+        return {
+            "injected": self._injected,
+            "streams": {
+                key: {
+                    "last_emitted_at": {
+                        str(level): at for level, at in s.last_emitted_at.items()
+                    },
+                    "pending_repeats": {
+                        str(level): n for level, n in s.pending_repeats.items()
+                    },
+                    "emitted_times": list(s.emitted_times),
+                    "suppressed": s.suppressed,
+                    "emitted": s.emitted,
+                }
+                for key, s in sorted(self._streams.items())
+            },
+        }
+
+    def load_state(self, state: dict[str, Any]) -> None:
+        """Restore from :meth:`state_dict` output; sinks and config stay."""
+        self._injected = int(state["injected"])
+        self._streams = {
+            str(key): _StreamAlertState(
+                last_emitted_at={
+                    int(level): float(at)
+                    for level, at in entry["last_emitted_at"].items()
+                },
+                pending_repeats={
+                    int(level): int(n)
+                    for level, n in entry["pending_repeats"].items()
+                },
+                emitted_times=deque(float(t) for t in entry["emitted_times"]),
+                suppressed=int(entry["suppressed"]),
+                emitted=int(entry["emitted"]),
+            )
+            for key, entry in state["streams"].items()
+        }
 
     def stats(self) -> dict[str, Any]:
         """Aggregate and per-stream emission/suppression counters.

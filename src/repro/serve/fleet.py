@@ -41,7 +41,7 @@ import numpy as np
 from repro.core.combined import CombinedDetector
 from repro.core.metrics import DetectionMetrics, evaluate_detection
 from repro.ics.features import Package
-from repro.serve.alerts import AlertConfig, AlertPipeline, RecentAlertsBuffer
+from repro.serve.alerts import AlertPipeline, RecentAlertsBuffer
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.protocols import get_adapter
 from repro.serve.replay import ReplayClient
@@ -327,11 +327,8 @@ class FleetRunner:
         )
         # Silent pipeline: alert bookkeeping runs, nothing prints (the
         # recent-alerts ring only feeds the HTTP API and metrics).
-        alert_config = AlertConfig(recent_capacity=config.alerts_buffer)
-        recent = RecentAlertsBuffer(alert_config.recent_capacity)
-        alerts = AlertPipeline(
-            sinks=[recent], config=alert_config, metrics=self.metrics
-        )
+        recent = RecentAlertsBuffer(config.alerts_buffer)
+        alerts = AlertPipeline(sinks=[recent], metrics=self.metrics)
         if self.registry is not None:
             gateway = DetectionGateway(
                 config=gateway_config,

@@ -116,14 +116,13 @@ from repro.serve.transport import (
 )
 from repro.serve.workers import (
     OBSERVE_MAX_GROUPS,
-    STATE_BLOB_KIND,
     EnginePool,
     WorkerError,
     WorkerHandle,
     WorkerPool,
-    encode_init,
+    decode_reply,
+    encode_call,
 )
-from repro.utils.artifact import state_to_bytes
 from repro.utils.loop_thread import LoopThread
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -240,7 +239,7 @@ class _Session:
         self.next_seq = 0
         self.evicted = False
         #: Wire dialect this connection speaks; Modbus until the
-        #: sniffer says otherwise (also the error-framing fallback).
+        #: sniffer locks on (also the error-framing fallback).
         self.adapter: ProtocolAdapter = MODBUS
 
     def send(self, payload: bytes, max_buffer: int) -> None:
@@ -401,10 +400,10 @@ class _Shard:
             for (_, by_stream), (verdicts, levels) in zip(batches, results)
             for answer in zip(by_stream.values(), verdicts, levels)
         ])
-        # Checkpoint after the fan-out, so the incident and monitor
-        # state it saves covers exactly the packages its engines have
-        # seen.  It runs after this shard's lock is released, because it
-        # takes every shard lock.
+        # Checkpoint after the fan-out, so the alert, incident and
+        # monitor state it saves covers exactly the packages its engines
+        # have seen.  It runs after this shard's lock is released,
+        # because it takes every shard lock.
         if gateway._checkpoint_due():
             await gateway._checkpoint()
         if self._t_tick is not None:
@@ -629,8 +628,8 @@ class DetectionGateway:
         return gateway
 
     def _obs_state_meta(self) -> dict[str, Any]:
-        """Correlator + monitor state for checkpoint metadata."""
-        meta: dict[str, Any] = {}
+        """Alert, correlator and monitor state for checkpoint metadata."""
+        meta: dict[str, Any] = {"alerts": self.alerts.state_dict()}
         if self.incidents is not None:
             meta["incidents"] = self.incidents.state_dict()
         if self.monitors is not None:
@@ -638,7 +637,9 @@ class DetectionGateway:
         return meta
 
     def _restore_obs_state(self, meta: dict[str, Any]) -> None:
-        """Resume incident + drift state saved by :meth:`_obs_state_meta`."""
+        """Resume the state saved by :meth:`_obs_state_meta`."""
+        if meta.get("alerts"):
+            self.alerts.load_state(meta["alerts"])
         if self.incidents is not None and meta.get("incidents"):
             self.incidents.load_state(meta["incidents"])
         if self.monitors is not None and meta.get("monitors"):
@@ -663,12 +664,10 @@ class DetectionGateway:
         checkpoint-restored); at start each pool's snapshot is shipped
         to a worker, which rebuilds the same pool there.
         """
+        model: dict[str, Any]
         if self._router is None:
             assert self.detector is not None
-            detector_blob: bytes | None = state_to_bytes(
-                self.detector.state_dict(), kind=STATE_BLOB_KIND
-            )
-            registry_root: str | None = None
+            model = {"detector": self.detector.state_dict()}
         else:
             registry = getattr(self._router, "registry", None)
             root = getattr(registry, "root", None)
@@ -678,26 +677,23 @@ class DetectionGateway:
                     "router: worker processes re-load model artifacts "
                     "from the registry root"
                 )
-            detector_blob = None
-            registry_root = str(root)
+            model = {"registry_root": str(root)}
         payloads = [
-            encode_init(
-                detector_blob,
-                registry_root,
-                state_to_bytes(await shard.pool.snapshot(), kind=STATE_BLOB_KIND),
-            )
+            encode_call("init", pool=await shard.pool.snapshot(), **model)
             for shard in self._shards
         ]
         handles: list[WorkerHandle] = []
         try:
             for shard in self._shards:
                 handles.append(WorkerHandle(shard.index, metrics=self.metrics))
-            await asyncio.gather(
+            replies = await asyncio.gather(
                 *(
                     handle.call(payload)
                     for handle, payload in zip(handles, payloads)
                 )
             )
+            for reply in replies:
+                decode_reply(reply)
         except BaseException:
             await asyncio.to_thread(
                 lambda: [handle.close(timeout=2.0) for handle in handles]
@@ -875,10 +871,9 @@ class DetectionGateway:
     ) -> None:
         session = _Session(writer)
         # Every connection self-identifies its wire dialect: the sniffer
-        # inspects the first bytes (shedding leading garbage) and hands
-        # the locked-on buffer to that dialect's resyncing decoder.
-        sniffer = ProtocolSniffer(self.config.protocols)
-        decoder = None
+        # locks onto the first dialect whose whole frame parses at the
+        # head of the stream (shedding leading garbage), then decodes it.
+        decoder = ProtocolSniffer(self.config.protocols)
         counters: dict[str, int] | None = None
         mirrors: dict[str, Any] | None = None
         marks = (0, 0, 0)  # decoder (frames, discarded, resyncs) seen so far
@@ -887,23 +882,16 @@ class DetectionGateway:
                 data = await reader.read(65536)
                 if not data:
                     break
-                if decoder is None:
-                    adapter = sniffer.feed(data)
-                    if adapter is None:
-                        continue  # dialect not determined yet
-                    session.adapter = adapter
-                    counters = self._transport_counters(adapter.name)
-                    mirrors = self._transport_metrics(adapter.name)
+                frames = decoder.feed(data)
+                if decoder.adapter is None:
+                    continue  # no whole frame of any dialect yet
+                if counters is None:
+                    session.adapter = decoder.adapter
+                    counters = self._transport_counters(decoder.adapter.name)
+                    mirrors = self._transport_metrics(decoder.adapter.name)
                     counters["connections"] += 1
-                    counters["bytes_discarded"] += sniffer.bytes_discarded
-                    self._bytes_discarded += sniffer.bytes_discarded
                     if mirrors is not None:
                         mirrors["connections"].inc()
-                        mirrors["bytes_discarded"].inc(sniffer.bytes_discarded)
-                    decoder = adapter.decoder()
-                    data = sniffer.pending
-                frames = decoder.feed(data)
-                assert counters is not None
                 frames_delta = decoder.frames_decoded - marks[0]
                 counters["frames_decoded"] += frames_delta
                 discarded = decoder.bytes_discarded - marks[1]
@@ -932,10 +920,10 @@ class DetectionGateway:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
-            if decoder is None and sniffer.bytes_discarded:
+            if decoder.adapter is None:
                 # Connection died (or closed) before any dialect locked
                 # on: its junk still shows up in the edge counters.
-                self._bytes_discarded += sniffer.bytes_discarded
+                self._bytes_discarded += decoder.bytes_discarded
             if session.key is not None and self._live.get(session.key) is session:
                 del self._live[session.key]
             try:
@@ -971,7 +959,7 @@ class DetectionGateway:
         except TransportError as exc:
             raise ProtocolViolation(str(exc)) from exc
         if protocol_tag is not None and protocol_tag != session.adapter.name:
-            # A declared dialect that contradicts the sniffed framing is
+            # A declared dialect that contradicts the negotiated framing is
             # a confused (or spoofing) client, not a tolerable mismatch.
             raise ProtocolViolation(
                 f"stream {key!r} declares protocol {protocol_tag!r} but "

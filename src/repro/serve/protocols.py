@@ -35,11 +35,14 @@ non-Modbus dialects carry the dialect-neutral stream DATA record
 (explicit aux doubles) instead of an embedded RTU frame, since their
 link layer already provides integrity checking.
 
-:class:`ProtocolSniffer` identifies which dialect a new connection
-speaks from its first bytes, so one gateway port serves a mixed fleet
-without prior configuration; the OPEN frame can additionally *declare*
-a protocol (see :func:`~repro.serve.transport.encode_open`), which the
-gateway cross-checks against the sniff.
+:class:`ProtocolSniffer` is the decoder of a connection whose dialect
+is not known yet: a dialect wins when a whole frame of it parses at the
+head of the connection, using that dialect's own decoder, so one
+gateway port serves a mixed fleet without prior configuration and
+negotiation can never disagree with decoding.  The OPEN frame can
+additionally *declare* a protocol (see
+:func:`~repro.serve.transport.encode_open`), which the gateway
+cross-checks against the negotiated dialect.
 """
 
 from __future__ import annotations
@@ -195,15 +198,6 @@ class ProtocolAdapter(ABC):
     def decoder(self) -> FrameDecoder:
         """A fresh per-connection incremental decoder."""
 
-    @classmethod
-    @abstractmethod
-    def sniff(cls, data: bytes) -> bool | None:
-        """Could ``data`` open a stream of this dialect?
-
-        ``True`` — yes, these bytes start one of our frames;
-        ``False`` — definitely not; ``None`` — not enough bytes yet.
-        """
-
     # -- client → gateway ------------------------------------------------
 
     @abstractmethod
@@ -261,17 +255,6 @@ class ModbusAdapter(ProtocolAdapter):
 
     def decoder(self) -> MbapDecoder:
         return MbapDecoder()
-
-    @classmethod
-    def sniff(cls, data: bytes) -> bool | None:
-        if len(data) < 8:  # MBAP header (7) + kind byte
-            return None
-        _, protocol_id, length, _ = struct.unpack_from(">HHHB", data)
-        return (
-            protocol_id == transport.PROTOCOL_MODBUS
-            and 2 <= length <= MAX_FRAME_BODY
-            and data[7] in KNOWN_KINDS
-        )
 
     def frame_open(self, stream_key: str, scenario: str | None = None) -> bytes:
         # No protocol tag: the untagged/scenario-tagged forms stay
@@ -350,15 +333,6 @@ class Iec104Adapter(_FramedAdapter):
     def decoder(self) -> _Iec104Decoder:
         return _Iec104Decoder()
 
-    @classmethod
-    def sniff(cls, data: bytes) -> bool | None:
-        if len(data) < 4:
-            return None
-        if data[0] != IEC104_START:
-            return False
-        (length,) = _LEN16.unpack_from(data, 1)
-        return 1 <= length <= MAX_FRAME_BODY and data[3] in KNOWN_KINDS
-
     def _frame(self, pdu: bytes) -> bytes:
         if not pdu:
             raise TransportError("refusing to frame an empty PDU")
@@ -379,15 +353,6 @@ class Dnp3Adapter(_FramedAdapter):
 
     def decoder(self) -> _Dnp3Decoder:
         return _Dnp3Decoder()
-
-    @classmethod
-    def sniff(cls, data: bytes) -> bool | None:
-        if len(data) < 5:
-            return None
-        if data[:2] != DNP3_MAGIC:
-            return False
-        (length,) = _LEN16.unpack_from(data, 2)
-        return 1 <= length <= MAX_FRAME_BODY and data[4] in KNOWN_KINDS
 
     def _frame(self, pdu: bytes) -> bytes:
         if not pdu:
@@ -410,11 +375,12 @@ _ADAPTERS: dict[str, ProtocolAdapter] = {
 #: All dialect slugs, sorted.
 PROTOCOL_NAMES: tuple[str, ...] = tuple(sorted(_ADAPTERS))
 
-#: Sniffing precedence.  The specific magics go first: an MBAP header
-#: whose transaction id happens to be 0x0564 is rejected by the DNP3
-#: length check (it would read the zero MBAP protocol id), and a
-#: 0x68-leading MBAP header fails the IEC-104 kind check — but keeping
-#: the order deterministic costs nothing.
+#: Negotiation precedence: the order in which :class:`ProtocolSniffer`
+#: offers a connection's head to each dialect's parser.  The specific
+#: magics go first: an MBAP header whose transaction id happens to be
+#: 0x0564 is rejected by the DNP3 length check (it would read the zero
+#: MBAP protocol id), and a 0x68-leading MBAP header fails the IEC-104
+#: kind check — but keeping the order deterministic costs nothing.
 SNIFF_ORDER: tuple[str, ...] = ("dnp3", "iec104", "modbus")
 
 
@@ -428,19 +394,20 @@ def get_adapter(name: str) -> ProtocolAdapter:
         ) from None
 
 
-class ProtocolSniffer:
-    """Identify a connection's dialect from its first bytes.
+class ProtocolSniffer(FrameDecoder):
+    """A new connection's decoder: it negotiates the dialect, then decodes it.
 
-    Feed the connection's initial chunks; returns the adapter once one
-    dialect's framing plausibly starts at the head of the stream.
-    Leading garbage is shed one byte at a time (counted in
-    ``bytes_discarded``) until some dialect locks on, so even a noisy
-    link self-identifies.  After a match, ``pending`` holds the
-    buffered bytes — hand them to the adapter's decoder so nothing is
-    lost.
+    Until the first frame, the buffer head is offered to each allowed
+    dialect's own decoder (its ``_parse_at_start``) in
+    :data:`SNIFF_ORDER`, and the first dialect that parses a whole frame
+    there wins.  From then on the sniffer decodes that dialect alone;
+    :attr:`adapter` names it.  A head no dialect can start a frame with
+    is shed like any other junk, so a noisy link still self-identifies;
+    junk before the first frame is not counted as a resync.
     """
 
     def __init__(self, protocols: tuple[str, ...] = ()) -> None:
+        super().__init__()
         order = protocols or SNIFF_ORDER
         unknown = set(order) - set(_ADAPTERS)
         if unknown:
@@ -448,31 +415,30 @@ class ProtocolSniffer:
                 f"unknown protocols: {sorted(unknown)}; "
                 f"available: {sorted(_ADAPTERS)}"
             )
-        self._order = tuple(
-            name for name in SNIFF_ORDER if name in order
-        )
-        self._buffer = bytearray()
-        self.bytes_discarded = 0
+        self._candidates = [
+            (_ADAPTERS[name], _ADAPTERS[name].decoder())
+            for name in SNIFF_ORDER
+            if name in order
+        ]
+        #: The dialect of the first whole frame; ``None`` until then.
+        self.adapter: ProtocolAdapter | None = None
+        self.min_header = min(d.min_header for _, d in self._candidates)
+        self._synced = False
 
-    @property
-    def pending(self) -> bytes:
-        """Bytes buffered so far (feed them to the matched decoder)."""
-        return bytes(self._buffer)
-
-    def feed(self, data: bytes) -> ProtocolAdapter | None:
-        """Absorb bytes; return the matched adapter or ``None`` yet."""
-        self._buffer.extend(data)
-        while self._buffer:
-            head = bytes(self._buffer)
-            undecided = False
-            for name in self._order:
-                verdict = _ADAPTERS[name].sniff(head)
-                if verdict is True:
-                    return _ADAPTERS[name]
-                if verdict is None:
-                    undecided = True
-            if undecided:
-                return None  # need more bytes before ruling the head out
-            del self._buffer[0]
-            self.bytes_discarded += 1
-        return None
+    def _parse_at_start(self, buffer: bytearray):
+        undecided = False
+        for adapter, decoder in self._candidates:
+            result = (
+                decoder._parse_at_start(buffer)
+                if len(buffer) >= decoder.min_header
+                else None
+            )
+            if result is None:
+                undecided = True
+            elif result != "shed":
+                # Locked: feed() calls this dialect's parser directly.
+                self.adapter = adapter
+                self.min_header = decoder.min_header
+                self._parse_at_start = decoder._parse_at_start
+                return result
+        return None if undecided else "shed"

@@ -16,8 +16,8 @@ must discard them and stay frame-synchronized, changing no decision.
 
 ``protocol`` selects the wire dialect (see
 :mod:`repro.serve.protocols`): the client frames its stream through
-that adapter and the gateway sniffs the dialect from the first bytes —
-no server-side coordination is required.
+that adapter and the gateway negotiates the dialect from the first
+whole frame — no server-side coordination is required.
 
 The client can time each package from send to verdict
 (``record_latency=True``) for p50/p99 latency benchmarking.  A fleet
@@ -106,7 +106,7 @@ class ReplayClient:
         self.noise_every = noise_every
         self.noise_bytes = noise_bytes
         #: Wire dialect to speak (see :mod:`repro.serve.protocols`); the
-        #: gateway sniffs it from the first frame, so no gateway-side
+        #: gateway negotiates it from the first frame, so no gateway-side
         #: flag is needed.
         self.adapter = get_adapter(protocol)
         #: Optional scenario tag sent in the OPEN frame.  A

@@ -25,9 +25,13 @@ module layers that framing over the existing RTU codec
 shares, built for a hostile wire: it survives partial reads (any split
 of the byte stream yields the same frames) and resynchronizes after
 garbage bytes by sliding one byte at a time until a plausible header
-lines up again, counting every byte it had to discard.
+lines up again, counting every byte it had to discard.  Its ``feed``
+holds the only such loop: each dialect supplies just the head parser.
 :class:`MbapDecoder` is its Modbus/TCP subclass: protocol id 0, sane
-length, known PDU kind.
+length, known PDU kind.  A connection whose dialect is not known yet
+is decoded by :class:`~repro.serve.protocols.ProtocolSniffer`, a
+subclass that asks each dialect's head parser in turn until one
+parses a whole frame.
 """
 
 from __future__ import annotations
@@ -220,7 +224,7 @@ def encode_open(
     registry-backed gateway routes it to that scenario's detector
     without probing; ``protocol`` optionally declares the wire dialect
     the client speaks (see :mod:`repro.serve.protocols`), which the
-    gateway cross-checks against what it actually sniffed.  The tags
+    gateway cross-checks against the dialect it negotiated.  The tags
     ride after NUL separators (all fields are NUL-free UTF-8); a
     protocol with no scenario leaves the middle field empty
     (``key\\x00\\x00protocol``).  Untagged OPENs are byte-identical to

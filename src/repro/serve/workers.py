@@ -18,14 +18,21 @@ backend:
   round trip per op.  A gateway shard sends every tick of one queue
   drain in a single OBSERVE, so it pays one round trip per drain.
 
-The channel is **pickle-free**: requests and responses are hand-framed
-byte strings.  Feature rows cross as the fixed-layout
-:func:`~repro.serve.transport.encode_stream_data` records (the same
-dialect-neutral binary package record the wire protocols use), and
-engine state crosses as in-memory ``.npz`` blobs
-(:func:`~repro.utils.artifact.state_to_bytes`).  Every response decoder
-checks the opcode and the exact length and raises :class:`WorkerError`
-on anything else.
+The channel is **pickle-free** and carries two frame shapes:
+
+- OBSERVE, the per-package path, is hand-framed.  Feature rows cross as
+  the fixed-layout :func:`~repro.serve.transport.encode_stream_data`
+  records (the same dialect-neutral binary package record the wire
+  protocols use); the reply holds two bytes per row plus each engine
+  group's compute seconds.
+- Every control op (INIT, ATTACH, SEEN, SWAP, SNAPSHOT, STATS) is one
+  CALL frame: the opcode, then one length-prefixed artifact container
+  (:func:`~repro.utils.artifact.state_to_bytes`) holding the op's name
+  and arguments.  The reply has the same shape and holds the result.
+  Detector and engine state ride these containers as arrays.
+
+Every reply decoder checks the opcode and the exact length and raises
+:class:`WorkerError` on anything else, a damaged container included.
 
 :class:`WorkerHandle` owns the process: a dedicated I/O thread drives
 the pipe so the event loop never blocks, and each request resolves a
@@ -42,7 +49,6 @@ and forking a threaded process is a deadlock lottery.
 from __future__ import annotations
 
 import asyncio
-import json
 import multiprocessing
 import queue
 import struct
@@ -63,6 +69,7 @@ from repro.persistence import (
     route_label,
 )
 from repro.serve.transport import decode_stream_data, encode_stream_data
+from repro.utils.artifact import ArtifactError, state_from_bytes, state_to_bytes
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.combined import CombinedDetector
@@ -70,43 +77,27 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.ics.features import Package
     from repro.obs.metrics import MetricsRegistry
 
-#: Kind tag of engine-state blobs crossing the pipe.
-STATE_BLOB_KIND = "worker-engine-pool"
-
-# Request opcodes (first byte of every request frame); a response
-# carries its request's opcode in lower case.
-OP_INIT = b"I"
-OP_ATTACH = b"A"
-OP_SEEN = b"P"
+# Request opcodes (first byte of every request frame); a reply carries
+# its request's opcode in lower case.  OBSERVE is hand-framed, every
+# other op is a CALL, and QUIT ends the worker.
 OP_OBSERVE = b"O"
-OP_SWAP = b"W"
-OP_SNAPSHOT = b"S"
-OP_STATS = b"T"
+OP_CALL = b"C"
 OP_QUIT = b"Q"
 
 #: Response marker for a worker-side exception (body = traceback text).
 OP_ERROR = b"!"
 
+#: Kind tag of the artifact containers CALL frames and replies carry.
+CALL_KIND = "worker-call"
+
 _U16 = struct.Struct(">H")
 _U32 = struct.Struct(">I")
-_U64 = struct.Struct(">Q")
-_SWAP_REQUEST = struct.Struct(">III")  # old version, new version, stream id
-_SWAP_RESPONSE = struct.Struct(">IQ")  # new stream id, old version's count
 
 #: Most engine groups one OBSERVE request carries (its U16 group count).
 OBSERVE_MAX_GROUPS = 0xFFFF
 
 #: Opcode -> metric label for pipe round-trip histograms.
-_OP_NAMES = {
-    OP_INIT: "init",
-    OP_ATTACH: "attach",
-    OP_SEEN: "seen",
-    OP_OBSERVE: "observe",
-    OP_SWAP: "swap",
-    OP_SNAPSHOT: "snapshot",
-    OP_STATS: "stats",
-    OP_QUIT: "quit",
-}
+_OP_NAMES = {OP_OBSERVE: "observe", OP_CALL: "call", OP_QUIT: "quit"}
 
 
 class WorkerError(RuntimeError):
@@ -244,63 +235,55 @@ def _get_block(view: memoryview, offset: int) -> tuple[bytes, int]:
     return bytes(view[offset : offset + size]), offset + size
 
 
-def _response_body(resp: bytes, op: bytes, size: int | None = None) -> memoryview:
-    """The body of a response to ``op``, after checking its opcode and,
-    when ``size`` is given, its exact length."""
-    if resp[:1] != op.lower():
+def _body(frame: bytes, op: bytes) -> memoryview:
+    """The body of a frame after checking that it starts with ``op``."""
+    if frame[:1] != op:
         raise WorkerError(
-            f"expected a {_OP_NAMES[op]} response, got opcode {bytes(resp[:1])!r}"
+            f"expected a {_OP_NAMES[op.upper()]} frame, got opcode "
+            f"{bytes(frame[:1])!r}"
         )
-    body = memoryview(resp)[1:]
-    if size is not None and len(body) != size:
+    return memoryview(frame)[1:]
+
+
+def _frame_call(op: bytes, state: dict[str, Any]) -> bytes:
+    """A CALL request or reply: ``op``, then one length-prefixed container."""
+    blob = state_to_bytes(state, kind=CALL_KIND)
+    return op + _U32.pack(len(blob)) + blob
+
+
+def _read_call(frame: bytes, op: bytes) -> dict[str, Any]:
+    """The state dict of a CALL request or reply, checked end to end."""
+    body = _body(frame, op)
+    if len(body) < _U32.size or len(body) != _U32.size + _U32.unpack_from(body)[0]:
         raise WorkerError(
-            f"{_OP_NAMES[op]} response holds {len(body)} bytes, expected {size}"
+            f"call frame of {len(body)} bytes is not one length-prefixed "
+            "container"
         )
-    return body
+    try:
+        return state_from_bytes(bytes(body[_U32.size :]), kind=CALL_KIND)
+    except ArtifactError as exc:
+        raise WorkerError(f"corrupt call container: {exc}") from exc
 
 
-def encode_init(
-    detector_blob: bytes | None, registry_root: str | None, pool_blob: bytes
-) -> bytes:
-    """INIT: single-detector weights *or* a registry root, plus the
-    shard's restored engine pool (``{label: engine_state}`` blob)."""
-    if (detector_blob is None) == (registry_root is None):
-        raise ValueError(
-            "pass exactly one of detector_blob (single) or "
-            "registry_root (routed)"
-        )
-    buf = bytearray(OP_INIT)
-    if detector_blob is not None:
-        buf += b"\x00"
-        _put_block(buf, detector_blob)
-    else:
-        buf += b"\x01"
-        _put_str(buf, registry_root)
-    _put_block(buf, pool_blob)
-    return bytes(buf)
+def encode_call(op: str, **args: Any) -> bytes:
+    """A control call: the op's name and its keyword arguments, which
+    are state-dict leaves (scalars, flat lists, arrays or nested dicts).
+
+    ``init`` opens every worker's pipe: exactly one of ``detector`` (a
+    detector's state) or ``registry_root``, plus ``pool``, the shard's
+    engines as ``{label: engine_state}``.  The pool ops follow it:
+    ``attach(label)``, ``seen(label, stream_id)``, ``swap(scenario,
+    old_version, new_version, stream_id)``, ``snapshot()`` and
+    ``stats()``."""
+    return _frame_call(OP_CALL, {"op": op, **args})
 
 
-def encode_attach(label: str) -> bytes:
-    buf = bytearray(OP_ATTACH)
-    _put_str(buf, label)
-    return bytes(buf)
-
-
-def decode_attach(resp: bytes) -> int:
-    (stream_id,) = _U32.unpack(_response_body(resp, OP_ATTACH, _U32.size))
-    return stream_id
-
-
-def encode_seen(label: str, stream_id: int) -> bytes:
-    buf = bytearray(OP_SEEN)
-    _put_str(buf, label)
-    buf += _U32.pack(stream_id)
-    return bytes(buf)
-
-
-def decode_seen(resp: bytes) -> int:
-    (seen,) = _U64.unpack(_response_body(resp, OP_SEEN, _U64.size))
-    return seen
+def decode_reply(resp: bytes) -> Any:
+    """The result a worker sent back for one :func:`encode_call`."""
+    reply = _read_call(resp, OP_CALL.lower())
+    if set(reply) != {"result"}:
+        raise WorkerError(f"call reply holds {sorted(reply)}, expected a result")
+    return reply["result"]
 
 
 def encode_observe(groups: "list[tuple[str, list[tuple[int, bytes]]]]") -> bytes:
@@ -329,7 +312,7 @@ def decode_verdicts(
     worker-side seconds each engine group spent in ``observe_batch`` —
     the tracing plane subtracts these from the pipe round-trip to
     attribute worker compute separately from IPC."""
-    body = _response_body(resp, OP_OBSERVE)
+    body = _body(resp, OP_OBSERVE.lower())
     rows_end = 2 * count
     if len(body) < rows_end + _U16.size:
         raise WorkerError(
@@ -345,50 +328,6 @@ def decode_verdicts(
     verdicts = [(bool(body[2 * i]), int(body[2 * i + 1])) for i in range(count)]
     seconds = list(struct.unpack_from(f">{n_groups}d", body, timings_at))
     return verdicts, seconds
-
-
-def encode_swap(
-    scenario: str, old_version: int, new_version: int, stream_id: int
-) -> bytes:
-    buf = bytearray(OP_SWAP)
-    _put_str(buf, scenario)
-    buf += _SWAP_REQUEST.pack(old_version, new_version, stream_id)
-    return bytes(buf)
-
-
-def decode_swap(resp: bytes) -> tuple[int, int]:
-    """``(new_stream_id, packages_seen_by_old_version)``."""
-    body = _response_body(resp, OP_SWAP, _SWAP_RESPONSE.size)
-    new_id, old_seen = _SWAP_RESPONSE.unpack(body)
-    return new_id, old_seen
-
-
-def decode_snapshot(resp: bytes) -> dict[str, Any]:
-    """The worker's engine pool as ``{label: engine_state_dict}``."""
-    from repro.utils.artifact import ArtifactError, state_from_bytes
-
-    body = _response_body(resp, OP_SNAPSHOT)
-    if len(body) < _U32.size or len(body) != _U32.size + _U32.unpack_from(body)[0]:
-        raise WorkerError(
-            f"snapshot response of {len(body)} bytes is not one "
-            "length-prefixed blob"
-        )
-    try:
-        return state_from_bytes(bytes(body[_U32.size :]), kind=STATE_BLOB_KIND)
-    except ArtifactError as exc:
-        raise WorkerError(f"corrupt snapshot blob: {exc}") from exc
-
-
-def decode_stats(resp: bytes) -> dict[str, Any]:
-    """``{label: {"stats": EngineStats dict, "streams": {id: seen}}}``."""
-    body = _response_body(resp, OP_STATS)
-    try:
-        payload = json.loads(bytes(body).decode("utf-8"))
-    except ValueError as exc:
-        raise WorkerError(f"corrupt stats response: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise WorkerError("stats response is not a JSON object")
-    return payload
 
 
 # ----------------------------------------------------------------------
@@ -407,19 +346,20 @@ def _complete(op: Any) -> Any:
     raise WorkerError("engine pool op suspended")
 
 
-def _init_pool(msg: memoryview) -> EnginePool:
-    """Rebuild the shard's pool from an INIT request."""
+def _init_pool(msg: bytes) -> EnginePool:
+    """Build the shard's pool from the INIT call that opens the pipe."""
     from repro.core.stream_engine import StreamEngine
-    from repro.utils.artifact import state_from_bytes
 
-    offset = 2  # opcode + mode byte
-    if msg[1] == 0:
+    args = _read_call(msg, OP_CALL) if msg[:1] == OP_CALL else {}
+    if args.get("op") != "init":
+        raise WorkerError("worker received ops before INIT")
+    detector_state, root = args.get("detector"), args.get("registry_root")
+    if (detector_state is None) == (root is None):
+        raise WorkerError("INIT takes exactly one of a detector or a registry root")
+    if detector_state is not None:
         from repro.core.combined import CombinedDetector
 
-        blob, offset = _get_block(msg, offset)
-        detector = CombinedDetector.from_state(
-            state_from_bytes(blob, kind=STATE_BLOB_KIND)
-        )
+        detector = CombinedDetector.from_state(detector_state)
 
         def detector_for(route: Route) -> "CombinedDetector":
             return detector
@@ -427,7 +367,6 @@ def _init_pool(msg: memoryview) -> EnginePool:
     else:
         from repro.registry.store import ModelRegistry
 
-        root, offset = _get_str(msg, offset)
         registry = ModelRegistry(root)
 
         def detector_for(route: Route) -> "CombinedDetector":
@@ -435,46 +374,40 @@ def _init_pool(msg: memoryview) -> EnginePool:
             assert scenario is not None and version is not None
             return registry.load(scenario, version)
 
-    pool_blob, offset = _get_block(msg, offset)
     engines = {}
-    for label, state in state_from_bytes(pool_blob, kind=STATE_BLOB_KIND).items():
+    for label, state in args["pool"].items():
         route = parse_route_label(label)
         engines[route] = StreamEngine.from_state(detector_for(route), state)
     return EnginePool(detector_for, engines)
 
 
-def serve_request(pool: EnginePool, msg: bytes) -> bytes:
-    """Decode one request, run it on ``pool``, encode the response."""
-    view = memoryview(msg)
-    op = bytes(view[:1])
-    if op == OP_OBSERVE:
-        return _serve_observe(pool, view)
-    if op == OP_ATTACH:
-        label, _ = _get_str(view, 1)
-        return OP_ATTACH.lower() + _U32.pack(
-            _complete(pool.attach(parse_route_label(label)))
-        )
-    if op == OP_SEEN:
-        label, offset = _get_str(view, 1)
-        (stream_id,) = _U32.unpack_from(view, offset)
-        seen = _complete(pool.seen(parse_route_label(label), stream_id))
-        return OP_SEEN.lower() + _U64.pack(seen)
-    if op == OP_SWAP:
-        scenario, offset = _get_str(view, 1)
-        old_version, new_version, stream_id = _SWAP_REQUEST.unpack_from(view, offset)
-        swapped = _complete(pool.swap(scenario, old_version, new_version, stream_id))
-        return OP_SWAP.lower() + _SWAP_RESPONSE.pack(*swapped)
-    if op == OP_SNAPSHOT:
-        from repro.utils.artifact import state_to_bytes
+#: The control calls a worker serves on its pool, by name.  Each takes
+#: the call's keyword arguments and returns a state-dict leaf.
+_CALLS: dict[str, Callable[..., Any]] = {
+    "attach": lambda pool, label: _complete(pool.attach(parse_route_label(label))),
+    "seen": lambda pool, label, stream_id: _complete(
+        pool.seen(parse_route_label(label), stream_id)
+    ),
+    "swap": lambda pool, **args: list(_complete(pool.swap(**args))),
+    "snapshot": lambda pool: _complete(pool.snapshot()),
+    "stats": lambda pool: pool.stats(),
+}
 
-        out = bytearray(OP_SNAPSHOT.lower())
-        _put_block(
-            out, state_to_bytes(_complete(pool.snapshot()), kind=STATE_BLOB_KIND)
-        )
-        return bytes(out)
-    if op == OP_STATS:
-        return OP_STATS.lower() + json.dumps(pool.stats()).encode("utf-8")
-    raise WorkerError(f"unknown opcode {op!r}")
+
+def serve_request(pool: EnginePool, msg: bytes) -> bytes:
+    """Decode one OBSERVE or CALL request, run it on ``pool``, encode
+    the reply; any other opcode or an unknown call is a :class:`WorkerError`."""
+    op = msg[:1]
+    if op == OP_OBSERVE:
+        return _serve_observe(pool, memoryview(msg))
+    if op != OP_CALL:
+        raise WorkerError(f"unknown opcode {bytes(op)!r}")
+    args = _read_call(msg, OP_CALL)
+    name = args.pop("op", None)
+    serve = _CALLS.get(name) if isinstance(name, str) else None
+    if serve is None:
+        raise WorkerError(f"unknown call {name!r}")
+    return _frame_call(OP_CALL.lower(), {"result": serve(pool, **args)})
 
 
 def _serve_observe(pool: EnginePool, msg: memoryview) -> bytes:
@@ -513,16 +446,13 @@ def _worker_main(conn, index: int) -> None:
                 msg = conn.recv_bytes()
             except (EOFError, OSError):
                 break
-            op = msg[:1]
-            if op == OP_QUIT:
+            if msg[:1] == OP_QUIT:
                 conn.send_bytes(OP_QUIT.lower())
                 break
             try:
-                if op == OP_INIT:
-                    pool = _init_pool(memoryview(msg))
-                    resp = OP_INIT.lower()
-                elif pool is None:
-                    raise WorkerError("worker received ops before INIT")
+                if pool is None:
+                    pool = _init_pool(msg)
+                    resp = _frame_call(OP_CALL.lower(), {"result": None})
                 else:
                     resp = serve_request(pool, msg)
             except Exception:  # noqa: BLE001 - reported to the gateway
@@ -556,8 +486,8 @@ class WorkerHandle:
     ) -> None:
         # Pre-resolve per-opcode round-trip histograms so the I/O loop
         # pays one dict probe per request, not a registry lookup.
-        # OBSERVE round-trips are the per-worker batch latency; SNAPSHOT
-        # round-trips are the snapshot duration.
+        # OBSERVE round-trips are the per-worker batch latency; every
+        # control op (a CALL) shares the ``op="call"`` label.
         self._timers = (
             None
             if metrics is None
@@ -725,34 +655,36 @@ class WorkerPool:
         pipe = max(0.0, perf_counter() - started - sum(seconds))
         return results, [{"worker": s, "pipe": pipe} for s in seconds]
 
+    async def _call(self, op: str, **args: Any) -> Any:
+        return decode_reply(await self._handle.call(encode_call(op, **args)))
+
     async def attach(self, route: Route) -> int:
-        return decode_attach(
-            await self._handle.call(encode_attach(route_label(*route)))
-        )
+        return await self._call("attach", label=route_label(*route))
 
     async def seen(self, route: Route, stream_id: int) -> int:
-        return decode_seen(
-            await self._handle.call(encode_seen(route_label(*route), stream_id))
-        )
+        return await self._call("seen", label=route_label(*route), stream_id=stream_id)
 
     async def swap(
         self, scenario: str, old_version: int, new_version: int, stream_id: int
     ) -> tuple[int, int]:
-        return decode_swap(
-            await self._handle.call(
-                encode_swap(scenario, old_version, new_version, stream_id)
-            )
+        new_id, old_seen = await self._call(
+            "swap",
+            scenario=scenario,
+            old_version=old_version,
+            new_version=new_version,
+            stream_id=stream_id,
         )
+        return new_id, old_seen
 
     async def snapshot(self) -> dict[str, dict[str, Any]]:
-        return decode_snapshot(await self._handle.call(OP_SNAPSHOT))
+        return await self._call("snapshot")
 
     def stats(self) -> dict[str, dict[str, Any]]:
         """Engine stats polled over the pipe (safe from any thread)."""
         if self._final_stats is not None:
             return self._final_stats
         try:
-            return decode_stats(self._handle.call_sync(OP_STATS))
+            return decode_reply(self._handle.call_sync(encode_call("stats")))
         except WorkerError:
             return {}
 
@@ -761,7 +693,7 @@ class WorkerPool:
         if self._final_stats is not None:
             return
         try:
-            self._final_stats = decode_stats(await self._handle.call(OP_STATS))
+            self._final_stats = await self._call("stats")
         except WorkerError:
             self._final_stats = {}
         await asyncio.to_thread(self._handle.close)

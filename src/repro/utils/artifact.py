@@ -25,6 +25,7 @@ artifacts preserve detection behaviour bit-for-bit.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from contextlib import contextmanager
@@ -111,6 +112,28 @@ def _unflatten(tree: dict[str, Any], archive: Any, path: str) -> dict[str, Any]:
     return state
 
 
+def _pack(
+    handle: Any,
+    state: dict[str, Any],
+    kind: str,
+    meta: dict[str, Any] | None,
+    compress: bool,
+) -> None:
+    """Write ``state`` as one container to the open binary ``handle``."""
+    arrays: dict[str, np.ndarray] = {}
+    tree = _flatten(state, "", arrays)
+    header = {
+        "format": ARTIFACT_FORMAT,
+        "version": ARTIFACT_VERSION,
+        "kind": kind,
+        "meta": meta or {},
+        "state": tree,
+    }
+    encoded = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
+    save = np.savez_compressed if compress else np.savez
+    save(handle, **{HEADER_KEY: encoded}, **arrays)
+
+
 def save_artifact(
     state: dict[str, Any],
     path: str | os.PathLike,
@@ -124,61 +147,35 @@ def save_artifact(
     channel (provenance such as profile name or stream offset) stored in
     the header and returned by :func:`load_artifact` via ``read_meta``.
     """
-    arrays: dict[str, np.ndarray] = {}
-    tree = _flatten(state, "", arrays)
-    header = {
-        "format": ARTIFACT_FORMAT,
-        "version": ARTIFACT_VERSION,
-        "kind": kind,
-        "meta": meta or {},
-        "state": tree,
-    }
-    encoded = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     # Write through a handle: np.savez would otherwise append ".npz" to
     # paths missing the suffix, breaking exact-name callers (atomic
     # rename via a temp file, CLI-given paths).
     with open(path, "wb") as handle:
-        np.savez_compressed(handle, **{HEADER_KEY: encoded}, **arrays)
+        _pack(handle, state, kind, meta, compress=True)
 
 
 def state_to_bytes(state: dict[str, Any], kind: str = "state-blob") -> bytes:
     """Serialize a state dict to an in-memory ``.npz`` byte string.
 
     Same container as :func:`save_artifact` but never touching disk —
-    the wire format for handing engine state between OS processes
-    (worker init / snapshot payloads).  Round-trips bit-exactly through
-    :func:`state_from_bytes`.
+    the body of every control call on a shard worker's pipe.
+    Round-trips bit-exactly through :func:`state_from_bytes`.
     """
-    import io
-
-    arrays: dict[str, np.ndarray] = {}
-    tree = _flatten(state, "", arrays)
-    header = {
-        "format": ARTIFACT_FORMAT,
-        "version": ARTIFACT_VERSION,
-        "kind": kind,
-        "meta": {},
-        "state": tree,
-    }
-    encoded = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
     buffer = io.BytesIO()
     # Uncompressed: these blobs cross a pipe once and are discarded;
     # recurrent-state float64 compresses poorly anyway.
-    np.savez(buffer, **{HEADER_KEY: encoded}, **arrays)
+    _pack(buffer, state, kind, None, compress=False)
     return buffer.getvalue()
 
 
 def state_from_bytes(blob: bytes, kind: str | None = "state-blob") -> dict[str, Any]:
-    """Restore a state dict serialized by :func:`state_to_bytes`."""
-    import io
+    """Restore a state dict serialized by :func:`state_to_bytes`.
 
-    with _reading("<bytes>"), np.load(io.BytesIO(blob)) as archive:
-        header = _read_header(archive, "<bytes>")
-        if kind is not None and header.get("kind") != kind:
-            raise ArtifactError(
-                f"expected a {kind!r} state blob, found {header.get('kind')!r}"
-            )
-        return _unflatten(header["state"], archive, "")
+    Makes the same checks as :func:`load_artifact`.
+    """
+    source = "<state blob>"
+    with _reading(source), np.load(io.BytesIO(blob)) as archive:
+        return _unpack(archive, source, kind)
 
 
 @contextmanager
@@ -215,6 +212,25 @@ def _read_header(archive: Any, path: str | os.PathLike) -> dict[str, Any]:
     return header
 
 
+def _unpack(
+    archive: Any, source: str | os.PathLike, kind: str | None
+) -> dict[str, Any]:
+    """The state dict of an open archive, after the header checks."""
+    header = _read_header(archive, source)
+    version = header.get("version")
+    if version != ARTIFACT_VERSION:
+        raise ArtifactError(
+            f"{source!s}: artifact schema version {version} does not "
+            f"match this build ({ARTIFACT_VERSION}); regenerate it"
+        )
+    if kind is not None and header.get("kind") != kind:
+        raise ArtifactError(
+            f"{source!s}: expected a {kind!r} artifact, found "
+            f"{header.get('kind')!r}"
+        )
+    return _unflatten(header["state"], archive, "")
+
+
 def load_artifact(
     path: str | os.PathLike, kind: str | None = None
 ) -> dict[str, Any]:
@@ -227,19 +243,7 @@ def load_artifact(
     # np.load(path) leaves the file it opened unclosed when the zip
     # reader rejects it, so the handle is opened (and closed) here.
     with _reading(path), open(path, "rb") as handle, np.load(handle) as archive:
-        header = _read_header(archive, path)
-        version = header.get("version")
-        if version != ARTIFACT_VERSION:
-            raise ArtifactError(
-                f"{path!s}: artifact schema version {version} does not "
-                f"match this build ({ARTIFACT_VERSION}); regenerate it"
-            )
-        if kind is not None and header.get("kind") != kind:
-            raise ArtifactError(
-                f"{path!s}: expected a {kind!r} artifact, found "
-                f"{header.get('kind')!r}"
-            )
-        return _unflatten(header["state"], archive, "")
+        return _unpack(archive, path, kind)
 
 
 def read_meta(path: str | os.PathLike) -> dict[str, Any]:

@@ -27,12 +27,15 @@ from repro.persistence import (
     save_checkpoint,
     save_detector,
 )
+from repro.utils import artifact
 from repro.utils.artifact import (
     ARTIFACT_VERSION,
     ArtifactError,
     load_artifact,
     read_meta,
     save_artifact,
+    state_from_bytes,
+    state_to_bytes,
 )
 
 
@@ -125,6 +128,36 @@ class TestArtifactContainer:
     def test_unsupported_leaf_rejected(self, tmp_path):
         with pytest.raises(TypeError, match="unsupported"):
             save_artifact({"f": object()}, tmp_path / "x.npz", kind="test")
+
+    def test_other_schema_version_rejected_on_disk_and_in_memory(
+        self, tmp_path, monkeypatch
+    ):
+        state = {"x": np.arange(3), "name": "old"}
+        path = tmp_path / "old.npz"
+        with monkeypatch.context() as patch:
+            patch.setattr(artifact, "ARTIFACT_VERSION", ARTIFACT_VERSION + 1)
+            save_artifact(state, path, kind="test")
+            blob = state_to_bytes(state, kind="test")
+        assert read_meta(path)["version"] == ARTIFACT_VERSION + 1
+        with pytest.raises(ArtifactError, match="schema version"):
+            load_artifact(path, kind="test")
+        with pytest.raises(ArtifactError, match="schema version"):
+            state_from_bytes(blob, kind="test")
+
+    def test_in_memory_container_makes_the_file_checks(self, tmp_path):
+        state = {"x": np.arange(3), "nested": {"flag": True}}
+        path = tmp_path / "same.npz"
+        save_artifact(state, path, kind="test")
+        blob = state_to_bytes(state, kind="test")
+        for restored in (load_artifact(path, kind="test"), state_from_bytes(blob, "test")):
+            np.testing.assert_array_equal(restored["x"], state["x"])
+            assert restored["nested"] == {"flag": True}
+        with pytest.raises(ArtifactError, match="expected a 'other' artifact"):
+            state_from_bytes(blob, kind="other")
+        with pytest.raises(ArtifactError):
+            state_from_bytes(b"this is not a zip archive")
+        with pytest.raises(ArtifactError):
+            state_from_bytes(blob[: len(blob) // 2])
 
 
 class TestComponentRoundTrips:

@@ -1,10 +1,13 @@
-"""Tests for severity classification, dedup/rate-limiting and sinks."""
+"""Tests for severity classification, dedup/rate-limiting, sinks and the
+pipeline state that rides gateway checkpoints."""
 
 from __future__ import annotations
 
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.stream_engine import LEVEL_PACKAGE, LEVEL_TIMESERIES
 from repro.serve.alerts import (
@@ -150,3 +153,46 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError):
             AlertConfig(**kwargs).validate()
+
+
+class TestStateRoundTrip:
+    @given(
+        events=st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b"]),
+                st.floats(0.0, 3.0),
+                st.sampled_from([LEVEL_PACKAGE, LEVEL_TIMESERIES]),
+            ),
+            min_size=2,
+            max_size=60,
+        ),
+        cut=st.integers(0, 60),
+    )
+    @settings(max_examples=50, deadline=None)
+    def test_restored_pipeline_continues_like_the_original(self, events, cut):
+        """A pipeline rebuilt from a JSON round trip of ``state_dict()``
+        mid-stream emits what the uninterrupted one emits from there."""
+        config = AlertConfig(
+            dedup_window=2.0, rate_window=20.0, max_alerts_per_window=4,
+            escalate_threshold=2, escalate_window=10.0,
+        )
+        clock = {"a": 0.0, "b": 0.0}
+        timeline = []
+        for seq, (stream, step, level) in enumerate(events):
+            clock[stream] += step
+            timeline.append((stream, clock[stream], level, seq))
+        cut = min(cut, len(timeline))
+        whole = AlertPipeline(config=config)
+        first = AlertPipeline(config=config)
+        for stream, t, level, seq in timeline[:cut]:
+            submit(whole, t, level, stream, seq)
+            submit(first, t, level, stream, seq)
+        state = json.loads(json.dumps(first.state_dict()))
+        resumed = AlertPipeline(config=config)
+        resumed.load_state(state)
+        assert resumed.state_dict() == first.state_dict()
+        for stream, t, level, seq in timeline[cut:]:
+            assert submit(resumed, t, level, stream, seq) == submit(
+                whole, t, level, stream, seq
+            )
+        assert resumed.stats() == whole.stats()

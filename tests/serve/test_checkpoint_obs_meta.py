@@ -1,5 +1,6 @@
 """Gateway checkpoint meta with *mixed* obs config: incidents on with
-monitors off — and vice versa — in both worker backends.
+monitors off — and vice versa — in both worker backends; and the alert
+pipeline's state, which rides every checkpoint.
 
 The incident plane's state rides checkpoint metadata, but the two
 planes are independent knobs: a checkpoint must carry exactly the
@@ -10,9 +11,12 @@ plane must ignore (not lose) its saved meta.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.serve.alerts import AlertPipeline
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient
 from repro.utils.artifact import read_meta
@@ -131,3 +135,52 @@ class TestMixedObsCheckpointMeta:
         assert restored.monitors is None
         # The kept plane still restored its saved state.
         assert restored.incidents.state_dict() == meta["incidents"]
+
+
+class TestAlertStateResume:
+    @pytest.mark.parametrize("mode", ["thread", "process"])
+    def test_alerts_after_kill_and_resume_match_the_uninterrupted_run(
+        self, mode, tmp_path, detector, capture
+    ):
+        """Dedup, rate-limit and escalation state ride the checkpoint: a
+        gateway killed after 100 packages and resumed from its periodic
+        checkpoint emits exactly the alerts the uninterrupted run emits
+        from there on, and its correlator absorbs the same count."""
+        config = GatewayConfig(worker_mode=mode, checkpoint_every=40)
+
+        def serve(alerts, gateway=None, prefix=len(capture), path="unused.npz"):
+            if gateway is None:
+                gateway = DetectionGateway(
+                    detector,
+                    replace(config, checkpoint_path=str(tmp_path / path)),
+                    AlertPipeline([alerts.append]),
+                )
+            handle = start_in_thread(None, gateway=gateway)
+            try:
+                result = _replay(handle, capture[:prefix])
+            finally:
+                handle.stop(checkpoint=False)  # a crash: periodic snapshots only
+            return gateway, result
+
+        uninterrupted: list = []
+        whole, _ = serve(uninterrupted)
+        crashed: list = []
+        serve(crashed, prefix=100, path="gw.npz")
+        resumed_alerts: list = []
+        restored = DetectionGateway.from_checkpoint(
+            str(tmp_path / "gw.npz"),
+            replace(config, checkpoint_path=str(tmp_path / "gw.npz")),
+            AlertPipeline([resumed_alerts.append]),
+            detector=detector,
+        )
+        restored, second = serve(resumed_alerts, gateway=restored)
+        assert second.start == 80
+
+        assert uninterrupted, "the drill needs alerts to compare"
+        assert [a for a in crashed if a.seq < 80] == [
+            a for a in uninterrupted if a.seq < 80
+        ]
+        assert resumed_alerts == [a for a in uninterrupted if a.seq >= 80]
+        absorbed = whole.incidents.stats()["alerts_absorbed"]
+        assert restored.incidents.stats()["alerts_absorbed"] == absorbed
+        assert restored.alerts.stats() == whole.alerts.stats()

@@ -1,8 +1,9 @@
 """One engine pool behind both shard backends.
 
 - The worker-side byte codec, driven on an in-process :class:`EnginePool`
-  (no spawned process): every op's response round-trips, and every
-  truncated, padded or mislabelled response raises :class:`WorkerError`.
+  (no spawned process): every OBSERVE and control-call reply
+  round-trips, every truncated, padded or mislabelled reply raises
+  :class:`WorkerError`, and so does any request but those two shapes.
 - Thread- and process-mode gateways fed the same traffic write
   checkpoints holding the same state, array for array and field for
   field — single-detector and routed (with a hot-swap) alike.
@@ -16,6 +17,7 @@ from __future__ import annotations
 import gc
 import multiprocessing
 import socket
+import struct
 import threading
 import time
 import warnings
@@ -33,22 +35,16 @@ from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
 from repro.serve.replay import ReplayClient
 from repro.serve.transport import encode_stream_data
 from repro.serve.workers import (
-    OP_SNAPSHOT,
-    OP_STATS,
+    CALL_KIND,
     EnginePool,
     WorkerError,
-    decode_attach,
-    decode_seen,
-    decode_snapshot,
-    decode_stats,
-    decode_swap,
+    decode_reply,
     decode_verdicts,
-    encode_attach,
+    encode_call,
     encode_observe,
-    encode_seen,
-    encode_swap,
     serve_request,
 )
+from repro.utils import artifact
 from repro.utils.artifact import load_artifact, read_meta
 
 V1 = ("gas_pipeline", 1)
@@ -87,8 +83,8 @@ def exchanges(detector, capture, streams, steps, ticks, offset):
     for _ in range(streams):
         expected = reference.attach()
         yield (
-            serve_request(pool, encode_attach(label)),
-            decode_attach,
+            serve_request(pool, encode_call("attach", label=label)),
+            decode_reply,
             lambda got, want=expected: got == want,
         )
     at = offset
@@ -118,8 +114,8 @@ def exchanges(detector, capture, streams, steps, ticks, offset):
         )
     last = reference.stream_ids[-1]
     yield (
-        serve_request(pool, encode_seen(label, last)),
-        decode_seen,
+        serve_request(pool, encode_call("seen", label=label, stream_id=last)),
+        decode_reply,
         lambda got, want=reference.packages_seen(last): got == want,
     )
     stats = {
@@ -131,7 +127,11 @@ def exchanges(detector, capture, streams, steps, ticks, offset):
             },
         }
     }
-    yield serve_request(pool, OP_STATS), decode_stats, lambda got: got == stats
+    yield (
+        serve_request(pool, encode_call("stats")),
+        decode_reply,
+        lambda got: got == stats,
+    )
     state = reference.state_dict()
 
     def same_snapshot(got):
@@ -139,15 +139,18 @@ def exchanges(detector, capture, streams, steps, ticks, offset):
         assert_state_equal(got[label], state)
         return True
 
-    yield serve_request(pool, OP_SNAPSHOT), decode_snapshot, same_snapshot
+    yield serve_request(pool, encode_call("snapshot")), decode_reply, same_snapshot
     # Moving the last stream to v2: a fresh v2 engine gives it id 0, and
     # v1's engine, once empty, is dropped from the pool.
-    expected_swap = (0, reference.packages_seen(last))
-    yield (
-        serve_request(pool, encode_swap(V1[0], V1[1], V2[1], last)),
-        decode_swap,
-        lambda got: got == expected_swap,
+    expected_swap = [0, reference.packages_seen(last)]
+    swap = encode_call(
+        "swap",
+        scenario=V1[0],
+        old_version=V1[1],
+        new_version=V2[1],
+        stream_id=last,
     )
+    yield serve_request(pool, swap), decode_reply, lambda got: got == expected_swap
     assert (V1 in pool.engines) == (streams > 1)
 
 
@@ -179,8 +182,33 @@ class TestCodecProperties:
                 decode(bytes([opcode]) + resp[1:])
 
     def test_unknown_request_opcode_is_an_error(self, detector):
+        pool = EnginePool(lambda route: detector)
         with pytest.raises(WorkerError, match="unknown opcode"):
-            serve_request(EnginePool(lambda route: detector), b"Z")
+            serve_request(pool, b"Z")
+        # The retired per-op opcodes are unknown too.
+        for opcode in b"IAPWST":
+            with pytest.raises(WorkerError, match="unknown opcode"):
+                serve_request(pool, bytes([opcode]))
+
+    def test_unknown_or_damaged_call_is_an_error(self, detector, monkeypatch):
+        pool = EnginePool(lambda route: detector)
+        for name in ("init", "quit", "observe", "_engine"):
+            with pytest.raises(WorkerError, match="unknown call"):
+                serve_request(pool, encode_call(name))
+        call = encode_call("stats")
+        assert decode_reply(serve_request(pool, call)) == {}
+        for damaged in (call[:-1], call + b"\x00", call[:1]):
+            with pytest.raises(WorkerError):
+                serve_request(pool, damaged)
+        # A request or reply of another schema version is refused.
+        with monkeypatch.context() as patch:
+            patch.setattr(artifact, "ARTIFACT_VERSION", 0)
+            stale = encode_call("stats")
+            blob = artifact.state_to_bytes({"result": None}, kind=CALL_KIND)
+        with pytest.raises(WorkerError, match="schema version 0"):
+            serve_request(pool, stale)
+        with pytest.raises(WorkerError, match="schema version 0"):
+            decode_reply(b"c" + struct.pack(">I", len(blob)) + blob)
 
 
 # ----------------------------------------------------------------------

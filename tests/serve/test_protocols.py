@@ -1,4 +1,4 @@
-"""Protocol adapters: framing, resync, sniffing and adversarial decode.
+"""Protocol adapters: framing, resync, negotiation and adversarial decode.
 
 Every dialect must satisfy one conformance contract: lossless PDU
 round-trips, byte-at-a-time and arbitrarily-chunked feeding, recovery
@@ -194,17 +194,52 @@ class TestAdapterConformance:
 
     def test_sniffer_locks_onto_own_frames(self, adapter):
         sniffer = ProtocolSniffer()
-        assert sniffer.feed(adapter.frame_open("site")) is adapter
+        assert sniffer.adapter is None
+        frames = sniffer.feed(adapter.frame_open("site"))
+        assert sniffer.adapter is adapter
+        assert [adapter.decode_open(f.pdu)[0] for f in frames] == ["site"]
 
     def test_sniffer_sheds_leading_garbage(self, adapter):
         sniffer = ProtocolSniffer()
         wire = b"\xff\x00\xfe" + adapter.frame_open("site")
-        matched = sniffer.feed(wire)
-        assert matched is adapter
+        frames = sniffer.feed(wire)
+        assert sniffer.adapter is adapter
         assert sniffer.bytes_discarded == 3
-        # The locked-on bytes are preserved for the dialect decoder.
-        frames = adapter.decoder().feed(sniffer.pending)
+        assert sniffer.resyncs == 0  # junk before the first frame
+        # The sniffer is the connection's decoder: no byte is lost.
         assert adapter.decode_open(frames[0].pdu)[0] == "site"
+        frames = sniffer.feed(adapter.frame_verdict(4, True, 1))
+        assert [adapter.decode_verdict(f.pdu) for f in frames] == [(4, True, 1)]
+
+    @given(
+        junk=st.integers(0, 40),
+        noise_every=st.integers(0, 4),
+        cuts=st.lists(st.integers(0, 2000), max_size=12),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sniffer_decodes_like_the_dialect_decoder(
+        self, adapter, junk, noise_every, cuts
+    ):
+        """Idle-line junk, an OPEN, then DATA frames with 0xFF noise in
+        between, cut anywhere: the sniffer yields the dialect decoder's
+        frames and counters, less the resync its leading junk costs."""
+        wire = b"\xff" * junk + adapter.frame_open("site")
+        for seq in range(6):
+            if noise_every and seq % noise_every == 0:
+                wire += b"\xff" * 9
+            wire += adapter.frame_data(make_package(time=float(seq)), seq)
+        reference = adapter.decoder()
+        expected = reference.feed(wire)
+        sniffer = ProtocolSniffer()
+        frames, position = [], 0
+        for cut in sorted(c % (len(wire) + 1) for c in cuts) + [len(wire)]:
+            frames.extend(sniffer.feed(wire[position:cut]))
+            position = cut
+        assert sniffer.adapter is adapter
+        assert [f.pdu for f in frames] == [f.pdu for f in expected]
+        assert sniffer.frames_decoded == reference.frames_decoded == 7
+        assert sniffer.bytes_discarded == reference.bytes_discarded
+        assert sniffer.resyncs == reference.resyncs - (1 if junk else 0)
 
 
 @pytest.mark.parametrize("adapter", FRAMED, ids=lambda a: a.name)
@@ -280,13 +315,19 @@ class TestSniffDisambiguation:
         from repro.serve.transport import encode_open, wrap_pdu
 
         wire = wrap_pdu(encode_open("k"), transaction_id=0x0564)
-        assert ProtocolSniffer().feed(wire) is MODBUS
+        sniffer = ProtocolSniffer()
+        assert len(sniffer.feed(wire)) == 1
+        assert sniffer.adapter is MODBUS
 
     def test_sniffer_respects_protocol_allowlist(self):
         wire = DNP3.frame_open("k")
         sniffer = ProtocolSniffer(protocols=("modbus", "iec104"))
         # DNP3 frames are just garbage to a gateway not accepting dnp3.
-        assert sniffer.feed(wire) is None or sniffer.bytes_discarded > 0
+        assert sniffer.feed(wire) == []
+        assert sniffer.adapter is None
+        assert sniffer.bytes_discarded > 0
+        assert len(sniffer.feed(IEC104.frame_open("k"))) == 1
+        assert sniffer.adapter is IEC104
 
     def test_sniffer_rejects_unknown_protocol_names(self):
         with pytest.raises(KeyError, match="unknown protocols"):
@@ -294,18 +335,44 @@ class TestSniffDisambiguation:
 
     def test_iec104_header_is_not_modbus(self):
         wire = IEC104.frame_open("k")
-        assert MODBUS.sniff(wire) in (False, None)
-        assert ProtocolSniffer().feed(wire) is IEC104
+        assert MODBUS.decoder().feed(wire) == []
+        sniffer = ProtocolSniffer()
+        assert len(sniffer.feed(wire)) == 1
+        assert sniffer.adapter is IEC104
+
+    @pytest.mark.parametrize(
+        "fake,real",
+        [(fake, real) for fake in FRAMED for real in ALL if fake is not real],
+        ids=lambda a: a.name,
+    )
+    def test_checksummed_foreign_head_does_not_capture_the_stream(
+        self, fake, real
+    ):
+        """A foreign checksummed dialect's header in front of the real
+        OPEN wins only if its whole frame checks out, so a damaged one
+        is shed as junk and the connection locks onto its own dialect."""
+        damaged = bytearray(fake.frame_open("ghost"))
+        damaged[-3] ^= 0x01  # a body byte: the checksum no longer holds
+        wire = bytes(damaged) + real.frame_open("site")
+        wire += b"".join(real.frame_verdict(i, False, 0) for i in range(400))
+        sniffer = ProtocolSniffer()
+        frames = sniffer.feed(wire)
+        assert sniffer.adapter is real
+        assert real.decode_open(frames[0].pdu)[0] == "site"
+        assert len(frames) == 401
+        assert sniffer.bytes_discarded == len(damaged)
+        assert sniffer.resyncs == 0
 
     @given(st.binary(min_size=0, max_size=64))
     @settings(max_examples=100, deadline=None)
     def test_random_garbage_never_crashes_the_sniffer(self, junk):
         sniffer = ProtocolSniffer()
-        adapter = sniffer.feed(junk)
-        # Whatever the junk, a real frame afterwards still locks on.
-        if adapter is None:
-            matched = sniffer.feed(DNP3.frame_open("k") * 2)
-            assert matched is not None
+        sniffer.feed(junk)
+        # Whatever the junk, a real frame stream afterwards still locks
+        # on once every frame the junk's head claims can be complete.
+        if sniffer.adapter is None:
+            sniffer.feed(DNP3.frame_open("k") * 320)
+            assert sniffer.adapter is not None
 
 
 class TestModbusBitIdentity:

@@ -29,22 +29,17 @@ from repro.serve.transport import (
     wrap_pdu,
 )
 from repro.serve.workers import (
-    OP_SNAPSHOT,
-    OP_STATS,
+    CALL_KIND,
     SINGLE_LABEL,
-    STATE_BLOB_KIND,
     WorkerError,
     WorkerHandle,
-    decode_attach,
-    decode_seen,
-    decode_snapshot,
-    decode_stats,
+    _init_pool,
+    decode_reply,
     decode_verdicts,
-    encode_attach,
-    encode_init,
+    encode_call,
     encode_observe,
-    encode_seen,
 )
+from repro.utils import artifact
 from repro.utils.artifact import state_from_bytes, state_to_bytes
 
 
@@ -67,12 +62,26 @@ class TestChannelCodec:
         assert "@" in label  # can never collide with the single slot
         assert parse_route_label(label) == ("gas_pipeline", 3)
 
-    def test_init_frame_requires_exactly_one_mode(self):
-        pool = state_to_bytes({}, kind=STATE_BLOB_KIND)
-        with pytest.raises(ValueError):
-            encode_init(None, None, pool)
-        with pytest.raises(ValueError):
-            encode_init(b"blob", "/tmp/registry", pool)
+    def test_init_frame_requires_exactly_one_mode(self, detector):
+        with pytest.raises(WorkerError, match="exactly one"):
+            _init_pool(encode_call("init", pool={}))
+        with pytest.raises(WorkerError, match="exactly one"):
+            _init_pool(
+                encode_call(
+                    "init",
+                    detector=detector.state_dict(),
+                    registry_root="/tmp/registry",
+                    pool={},
+                )
+            )
+        # Only INIT may open the pipe, whatever the first frame is.
+        for first in (encode_call("stats"), encode_observe([]), b"I"):
+            with pytest.raises(WorkerError, match="before INIT"):
+                _init_pool(first)
+        pool = _init_pool(
+            encode_call("init", detector=detector.state_dict(), pool={})
+        )
+        assert pool.engines == {}
 
     def test_verdict_row_count_mismatch_is_fatal(self):
         import struct
@@ -91,10 +100,8 @@ class TestChannelCodec:
 
     def test_engine_state_blob_round_trips(self, detector):
         engine = detector.engine(2)
-        blob = state_to_bytes(
-            {SINGLE_LABEL: engine.state_dict()}, kind=STATE_BLOB_KIND
-        )
-        restored = state_from_bytes(blob, kind=STATE_BLOB_KIND)
+        blob = state_to_bytes({SINGLE_LABEL: engine.state_dict()}, kind=CALL_KIND)
+        restored = state_from_bytes(blob, kind=CALL_KIND)
         assert set(restored) == {SINGLE_LABEL}
         assert list(restored[SINGLE_LABEL]["stream_ids"]) == list(
             engine.stream_ids
@@ -104,28 +111,30 @@ class TestChannelCodec:
 
 
 class TestWorkerHandle:
-    def test_worker_serves_full_op_cycle(self, detector, capture):
-        """One spawned worker exercises the whole opcode surface, and
-        its verdicts match an identically-driven in-process engine."""
+    def test_worker_serves_full_op_cycle(self, detector, capture, monkeypatch):
+        """One spawned worker exercises both frame shapes and every
+        control call, and its verdicts match an identically-driven
+        in-process engine."""
         handle = WorkerHandle(0)
         try:
             # Ops before INIT are an error response, not a dead worker.
             with pytest.raises(WorkerError, match="before INIT"):
-                handle.call_sync(encode_attach(SINGLE_LABEL))
+                handle.call_sync(encode_call("attach", label=SINGLE_LABEL))
+            # So is an INIT with both (or neither) model sources.
+            with pytest.raises(WorkerError, match="exactly one"):
+                handle.call_sync(encode_call("init", pool={}))
+            # A container of another schema version fails across the pipe.
+            with monkeypatch.context() as patch:
+                patch.setattr(artifact, "ARTIFACT_VERSION", 0)
+                stale = encode_call("init", detector=detector.state_dict(), pool={})
+            with pytest.raises(WorkerError, match="schema version 0"):
+                handle.call_sync(stale)
 
-            assert (
-                handle.call_sync(
-                    encode_init(
-                        state_to_bytes(
-                            detector.state_dict(), kind=STATE_BLOB_KIND
-                        ),
-                        None,
-                        state_to_bytes({}, kind=STATE_BLOB_KIND),
-                    )
-                )
-                == b"i"
+            init = encode_call("init", detector=detector.state_dict(), pool={})
+            assert decode_reply(handle.call_sync(init)) is None
+            sid = decode_reply(
+                handle.call_sync(encode_call("attach", label=SINGLE_LABEL))
             )
-            sid = decode_attach(handle.call_sync(encode_attach(SINGLE_LABEL)))
 
             reference = detector.engine(0)
             ref_sid = reference.attach()
@@ -138,16 +147,19 @@ class TestWorkerHandle:
                 assert verdict == (bool(expected[0]), int(levels[0]))
                 assert len(timings) == 1 and timings[0] >= 0.0
 
-            seen = decode_seen(handle.call_sync(encode_seen(SINGLE_LABEL, sid)))
-            assert seen == 8
+            call = encode_call("seen", label=SINGLE_LABEL, stream_id=sid)
+            assert decode_reply(handle.call_sync(call)) == 8
 
-            stats = decode_stats(handle.call_sync(OP_STATS))
+            stats = decode_reply(handle.call_sync(encode_call("stats")))
             assert stats[SINGLE_LABEL]["streams"] == {str(sid): 8}
             assert stats[SINGLE_LABEL]["stats"]["packages"] == 8
 
-            snapshot = decode_snapshot(handle.call_sync(OP_SNAPSHOT))
+            snapshot = decode_reply(handle.call_sync(encode_call("snapshot")))
             assert set(snapshot) == {SINGLE_LABEL}
             assert list(snapshot[SINGLE_LABEL]["stream_ids"]) == [sid]
+
+            with pytest.raises(WorkerError, match="unknown call 'init'"):
+                handle.call_sync(init)
         finally:
             handle.close()
 
@@ -155,7 +167,7 @@ class TestWorkerHandle:
         handle = WorkerHandle(0)
         handle.kill()
         with pytest.raises(WorkerError):
-            handle.call_sync(encode_attach(SINGLE_LABEL), timeout=30.0)
+            handle.call_sync(encode_call("attach", label=SINGLE_LABEL), timeout=30.0)
 
 
 class TestProcessGateway:

@@ -168,6 +168,16 @@ class TestServeAndReplay:
             with pytest.raises(SystemExit):
                 main(argv)
 
+    def test_zero_alerts_buffer_is_a_one_line_error(self, model_path, tmp_path):
+        writers = TestBindFailures.historian_writers()
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--model", str(model_path), "--quiet", "--port", "0",
+                  "--alerts-buffer", "0", "--historian", str(tmp_path / "h")])
+        message = str(excinfo.value.code)
+        assert message.startswith("error: ") and "\n" not in message, message
+        assert "--alerts-buffer" in message and "got 0" in message, message
+        assert TestBindFailures.historian_writers() == writers
+
     def test_bad_replay_window_is_a_clean_cli_error(self):
         with pytest.raises(SystemExit):
             main(["replay", *MICRO, "--window", "0", "--limit", "1"])
