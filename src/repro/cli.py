@@ -642,7 +642,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
     print(
         f"trained in {train_seconds:.1f}s: |S|={artifacts.vocabulary_size}, "
         f"k={artifacts.chosen_k}, "
-        f"model {detector.memory_bytes() / 1024:.0f} KB"
+        f"model {detector.memory_bytes() / 1024:.0f} KB "
+        f"({detector.timeseries.model.dtype} weights)"
     )
     print(f"saved {args.out}")
     return 0

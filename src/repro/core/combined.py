@@ -35,6 +35,11 @@ from repro.core.timeseries_detector import (
 from repro.ics.features import Package
 from repro.utils.rng import SeedLike, spawn_generators
 
+#: The dtype :meth:`CombinedDetector.train` publishes the network's
+#: weights in.  Training and the ``err_k`` curve run in float64; the
+#: cast comes after ``k`` is chosen.
+SERVING_DTYPE = np.dtype(np.float32)
+
 
 @dataclass(frozen=True)
 class DetectorConfig:
@@ -149,7 +154,9 @@ class CombinedDetector:
 
         Returns the detector plus diagnostics: the package-level
         validation error (Fig 5 operating point), the ``err_k`` curve and
-        the chosen ``k`` (Fig 6).
+        the chosen ``k`` (Fig 6).  The network trains and yields the
+        curve in float64; its weights are then stored as
+        :data:`SERVING_DTYPE`, in which the detector serves.
         """
         config = (config or DetectorConfig()).validate()
         if not train_fragments:
@@ -189,6 +196,7 @@ class CombinedDetector:
         if config.auto_choose_k:
             chosen_k = choose_k_from_curve(err_curve, config.theta_timeseries)
             timeseries.k = chosen_k
+        timeseries.model.cast(SERVING_DTYPE)
 
         artifacts = TrainedArtifacts(
             package_validation_error=package_validation_error,
@@ -296,7 +304,9 @@ class CombinedDetector:
         self.timeseries.k = value
 
     def memory_bytes(self) -> int:
-        """Total model footprint (paper §VIII-A2 reports 684 KB)."""
+        """Total model footprint: Bloom filter plus the network's weights
+        in their stored dtype, float32 after :meth:`train` (paper
+        §VIII-A2 reports 684 KB)."""
         return self.package_detector.memory_bytes() + self.timeseries.memory_bytes()
 
     def signature_of_package(

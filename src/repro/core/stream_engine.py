@@ -12,9 +12,12 @@ vectorized membership test over the ``(N, |S|)`` prediction matrix.
 
 Streams attach and detach dynamically: attaching pads the batch with a
 fresh zero state, detaching compacts the departed row out of every
-array.  A 1-stream engine is bit-identical to the paper's Fig.-3 data
-path — :class:`~repro.core.combined.StreamMonitor` is now a thin view
-over exactly that.
+array.  The recurrent states and predictions are kept in the dtype of
+the detector's network weights (float32 for a freshly trained
+detector) from creation through checkpoint and resume, so every step
+multiplies like dtypes.  A 1-stream engine is bit-identical to the
+paper's Fig.-3 data path — :class:`~repro.core.combined.StreamMonitor`
+is now a thin view over exactly that.
 """
 
 from __future__ import annotations
@@ -189,7 +192,11 @@ class StreamEngine:
     def from_state(
         cls, detector: "CombinedDetector", state: dict[str, Any]
     ) -> "StreamEngine":
-        """Rebuild a running engine from :meth:`state_dict` output."""
+        """Rebuild a running engine from :meth:`state_dict` output.
+
+        The recurrent state is restored in the dtype of ``detector``'s
+        weights, whatever dtype the checkpoint holds it in.
+        """
         engine = cls(detector)
         stream_ids = [int(i) for i in np.asarray(state["stream_ids"])]
         if len(set(stream_ids)) != len(stream_ids):
@@ -199,7 +206,9 @@ class StreamEngine:
             raise ArtifactError("engine state next_id conflicts with stream ids")
         prev_times = np.asarray(state["prev_times"], dtype=np.float64)
         prev_known = np.asarray(state["prev_known"], dtype=bool)
-        batch_state = BatchStreamState.from_state(state["streams"])
+        batch_state = BatchStreamState.from_state(
+            state["streams"], detector.timeseries.model.dtype
+        )
         counts = {
             len(stream_ids),
             prev_times.shape[0],

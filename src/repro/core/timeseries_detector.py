@@ -74,15 +74,14 @@ class StreamState:
         }
 
     @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "StreamState":
-        """Rebuild a stream snapshot from :meth:`state_dict` output."""
+    def from_state(cls, state: dict[str, Any], dtype: Any) -> "StreamState":
+        """Rebuild a stream snapshot from :meth:`state_dict` output, its
+        arrays in ``dtype``: that of the model it resumes against."""
         last_probs = state["last_probs"]
         return cls(
-            lstm_states=_lstm_states_from_state(state["lstm"]),
+            lstm_states=_lstm_states_from_state(state["lstm"], dtype),
             last_probs=(
-                None
-                if last_probs is None
-                else np.asarray(last_probs, dtype=np.float64)
+                None if last_probs is None else np.array(last_probs, dtype=dtype)
             ),
             packages_seen=int(state["packages_seen"]),
         )
@@ -96,14 +95,14 @@ def _lstm_states_to_state(states: Sequence[LSTMState]) -> dict[str, Any]:
     }
 
 
-def _lstm_states_from_state(state: dict[str, Any]) -> list[LSTMState]:
+def _lstm_states_from_state(state: dict[str, Any], dtype: Any) -> list[LSTMState]:
     states: list[LSTMState] = []
     for i in range(len(state)):
         layer = state.get(f"layer{i}")
         if layer is None:
             raise ArtifactError(f"LSTM state missing layer{i}")
-        h = np.array(layer["h"], dtype=np.float64)
-        c = np.array(layer["c"], dtype=np.float64)
+        h = np.array(layer["h"], dtype=dtype)
+        c = np.array(layer["c"], dtype=dtype)
         if h.shape != c.shape or h.ndim != 2:
             raise ArtifactError(
                 f"LSTM layer{i} state has shapes h={h.shape}, c={c.shape}"
@@ -205,17 +204,19 @@ class BatchStreamState:
         }
 
     @classmethod
-    def from_state(cls, state: dict[str, Any]) -> "BatchStreamState":
+    def from_state(cls, state: dict[str, Any], dtype: Any) -> "BatchStreamState":
         """Rebuild a batch snapshot from :meth:`state_dict` output.
 
-        Every array is copied: an engine writes partial-tick rows in
+        The recurrent states and predictions come back in ``dtype``, that
+        of the model they resume against, whatever dtype they were saved
+        in.  Every array is copied: an engine writes partial-tick rows in
         place, so it must own its state rather than alias (possibly
         read-only) arrays of the caller's state dict.
         """
-        lstm_states = _lstm_states_from_state(state["lstm"])
+        lstm_states = _lstm_states_from_state(state["lstm"], dtype)
         restored = cls(
             lstm_states=lstm_states,
-            last_probs=np.array(state["last_probs"], dtype=np.float64),
+            last_probs=np.array(state["last_probs"], dtype=dtype),
             has_probs=np.array(state["has_probs"], dtype=bool),
             packages_seen=np.array(state["packages_seen"], dtype=np.int64),
         )
@@ -299,7 +300,12 @@ class TimeSeriesDetector:
         cardinalities: Sequence[int],
         config: TimeSeriesDetectorConfig | None = None,
         rng: SeedLike = 0,
+        params: dict[str, Any] | None = None,
     ) -> None:
+        """``params`` are stored network weights to adopt, as
+        :meth:`StackedLSTMClassifier.state_dict` nests them, instead of
+        drawing initial ones; the noise and training RNG streams are
+        ``rng``'s either way."""
         if len(vocabulary) < 2:
             raise ValueError(
                 f"vocabulary must contain >= 2 signatures, got {len(vocabulary)}"
@@ -315,6 +321,7 @@ class TimeSeriesDetector:
                 num_classes=len(vocabulary),
             ),
             rng=model_rng,
+            params=params,
         )
         self.k = self.config.k
 
@@ -349,7 +356,9 @@ class TimeSeriesDetector:
 
         The training RNG streams (noise schedule, batch shuffling) are
         re-seeded fresh — they are not part of inference state, and
-        detection after a round-trip is bit-identical regardless.
+        detection after a round-trip is bit-identical regardless.  The
+        network adopts the stored weights in their dtype; no initial
+        weights are drawn.
         """
         try:
             raw = dict(state["config"])
@@ -362,8 +371,8 @@ class TimeSeriesDetector:
             [int(c) for c in state["cardinalities"]],
             config,
             rng=0,
+            params=state["model"]["params"],
         )
-        detector.model.load_state_dict(state["model"])
         detector.k = int(state["k"])
         return detector
 
@@ -529,12 +538,13 @@ class TimeSeriesDetector:
         )
 
     def new_stream_batch(self, batch_size: int) -> BatchStreamState:
-        """Fresh recurrent state for ``batch_size`` concurrent streams."""
+        """Fresh recurrent state for ``batch_size`` concurrent streams,
+        in the model's dtype."""
         if batch_size < 0:
             raise ValueError(f"batch_size must be >= 0, got {batch_size}")
         return BatchStreamState(
             lstm_states=self.model.init_state(batch_size),
-            last_probs=np.zeros((batch_size, len(self.vocabulary))),
+            last_probs=np.zeros((batch_size, len(self.vocabulary)), self.model.dtype),
             has_probs=np.zeros(batch_size, dtype=bool),
             packages_seen=np.zeros(batch_size, dtype=np.int64),
         )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.combined import CombinedDetector
+from repro.core.combined import SERVING_DTYPE, CombinedDetector
 from repro.core.discretization import intervals_of
 from repro.core.metrics import DetectionMetrics, evaluate_detection
 from repro.core.timeseries_detector import TimeSeriesDetector, TimeSeriesDetectorConfig
@@ -101,7 +101,8 @@ def fig6_topk_curves(
     """Train a second (noise-free) model and compute all four curves.
 
     The noise-trained model is taken from the pipeline; the comparison
-    model repeats training with ``use_noise=False`` and the same seed.
+    model repeats training with ``use_noise=False`` and the same seed,
+    and is evaluated in the same :data:`SERVING_DTYPE`.
     """
     detector = pipeline.detector
     dataset = pipeline.dataset
@@ -129,6 +130,7 @@ def fig6_topk_curves(
         rng=spawn_generators(pipeline.profile.seed, 2)[1],
     )
     noise_free.fit(train_codes)
+    noise_free.model.cast(SERVING_DTYPE)
 
     ks = list(range(1, max_k + 1))
     train_sample = train_codes[:train_eval_fragments]

@@ -11,8 +11,9 @@ run as separate processes — so pipeline runs are memoized twice:
   process* skips training entirely and only regenerates the (cheap,
   deterministic) dataset.
 
-Disk entries are keyed on the profile's full configuration and the
-artifact schema version — editing a profile or bumping
+Disk entries are keyed on the profile's full configuration, the dtype
+trained detectors serve in and the artifact schema version — editing a
+profile, changing :data:`~repro.core.combined.SERVING_DTYPE` or bumping
 :data:`~repro.utils.artifact.ARTIFACT_VERSION` silently invalidates
 stale entries.  Set ``REPRO_PIPELINE_CACHE=0`` to disable the disk
 layer (e.g. for timing cold runs).
@@ -28,7 +29,12 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.combined import CombinedDetector, DetectionResult, TrainedArtifacts
+from repro.core.combined import (
+    SERVING_DTYPE,
+    CombinedDetector,
+    DetectionResult,
+    TrainedArtifacts,
+)
 from repro.core.metrics import DetectionMetrics, evaluate_detection, per_attack_recall
 from repro.core.timeseries_detector import TimeSeriesTrainingReport
 from repro.experiments.profiles import Profile, get_profile
@@ -117,17 +123,19 @@ def disk_cache_enabled() -> bool:
 
 
 def _cache_path(profile: Profile) -> Path:
-    """One file per (profile config, seed, artifact schema version).
+    """One file per (profile config, seed, serving dtype, schema version).
 
     The fingerprint hashes the *full* profile configuration (dataset,
     detector, seed), so editing a profile definition is an automatic
-    cache miss; the schema version in the name invalidates everything
-    older on a format bump.
+    cache miss.  The serving dtype in the name keeps an entry trained
+    under another one (float64 detectors of earlier builds) from being
+    handed out, and the schema version invalidates everything older on
+    a format bump.
     """
     fingerprint = hashlib.sha256(repr(profile).encode("utf-8")).hexdigest()[:12]
     return cache_dir() / (
         f"pipeline-{profile.name}-seed{profile.seed}"
-        f"-{fingerprint}-v{ARTIFACT_VERSION}.npz"
+        f"-{fingerprint}-{SERVING_DTYPE.name}-v{ARTIFACT_VERSION}.npz"
     )
 
 

@@ -10,12 +10,13 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
     One pass over the whole array: with ``e = exp(-|x|)`` (so ``exp`` is
     only ever taken of non-positive arguments) the result is
-    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere.
-    Exactness contract: bitwise equal, for every non-NaN float64, to the
-    piecewise form that evaluates ``1 / (1 + exp(-x))`` and
-    ``exp(x) / (1 + exp(x))`` on the two masked halves separately
-    (``-|x|`` is exactly ``-x`` or ``x``, and ``-0.0`` takes the
-    ``x >= 0`` branch in both); a NaN input gives NaN.
+    ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere,
+    in the dtype of ``x``.  Exactness contract: bitwise equal, for every
+    non-NaN float32 or float64, to the piecewise form that evaluates
+    ``1 / (1 + exp(-x))`` and ``exp(x) / (1 + exp(x))`` on the two
+    masked halves separately (``-|x|`` is exactly ``-x`` or ``x``, and
+    ``-0.0`` takes the ``x >= 0`` branch in both); a NaN input gives
+    NaN.
     """
     e = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, e) / (1.0 + e)

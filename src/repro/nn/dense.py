@@ -13,33 +13,51 @@ class DenseLayer:
 
     Used as the projection from the top LSTM layer's hidden vector to the
     ``|S|`` signature logits ``z`` feeding the softmax activation layer.
+    It computes in the dtype of its weights; ``params`` (shapes as
+    :meth:`param_shapes` gives) adopts trained weights as they are, dtype
+    included, instead of drawing initial ones.
     """
 
-    def __init__(self, input_size: int, output_size: int, rng: SeedLike = None) -> None:
+    def __init__(
+        self,
+        input_size: int,
+        output_size: int,
+        rng: SeedLike = None,
+        params: dict[str, np.ndarray] | None = None,
+    ) -> None:
         if input_size < 1 or output_size < 1:
             raise ValueError(
                 f"input_size and output_size must be >= 1, got {input_size}, {output_size}"
             )
-        generator = as_generator(rng)
         self.input_size = input_size
         self.output_size = output_size
-        self.params: dict[str, np.ndarray] = {
-            "W": glorot_uniform((input_size, output_size), generator),
-            "b": zeros((output_size,)),
-        }
+        if params is None:
+            params = {
+                "W": glorot_uniform((input_size, output_size), as_generator(rng)),
+                "b": zeros((output_size,)),
+            }
+        self.params: dict[str, np.ndarray] = params
         self.grads: dict[str, np.ndarray] = {
             name: np.zeros_like(value) for name, value in self.params.items()
         }
         self._input: np.ndarray | None = None
 
+    @staticmethod
+    def param_shapes(input_size: int, output_size: int) -> dict[str, tuple[int, ...]]:
+        """Shapes of ``W`` and ``b``."""
+        return {"W": (input_size, output_size), "b": (output_size,)}
+
     def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
-        """Apply the affine map; ``x`` may be ``(B, D)`` or ``(T, B, D)``."""
+        """Apply the affine map; ``x`` may be ``(B, D)`` or ``(T, B, D)``,
+        and is cast to the weights' dtype."""
         if x.shape[-1] != self.input_size:
             raise ValueError(
                 f"input feature size {x.shape[-1]} != layer input_size {self.input_size}"
             )
+        weights = self.params["W"]
+        x = x.astype(weights.dtype, copy=False)
         self._input = x if keep_cache else None
-        return x @ self.params["W"] + self.params["b"]
+        return x @ weights + self.params["b"]
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """Backprop; ``d_out`` matches the forward output shape."""

@@ -14,6 +14,11 @@ Implements exactly the memory-cell equations of the paper's Section V:
 The four gate weight matrices are fused into single ``W``/``U``/``b``
 arrays with column layout ``[i | f | o | g]`` so each timestep costs two
 matrix multiplications.  Arrays are time-major: ``(T, B, D)``.
+
+A layer computes in the dtype of its weights: initial weights are
+float64, and a layer built around stored float32 weights runs every
+inference step, and keeps its recurrent state, in float32.  Inputs of
+another dtype are cast to the weights' dtype first.
 """
 
 from __future__ import annotations
@@ -117,6 +122,10 @@ class LSTMLayer:
         Seed or generator for weight initialization.
     forget_bias:
         Initial forget-gate bias (1.0 keeps memory early in training).
+    params:
+        Trained ``W``, ``U`` and ``b`` (shapes as :meth:`param_shapes`
+        gives) to adopt as they are, dtype included, instead of drawing
+        initial weights.
     """
 
     def __init__(
@@ -125,35 +134,55 @@ class LSTMLayer:
         hidden_size: int,
         rng: SeedLike = None,
         forget_bias: float = 1.0,
+        params: dict[str, np.ndarray] | None = None,
     ) -> None:
         if input_size < 1 or hidden_size < 1:
             raise ValueError(
                 f"input_size and hidden_size must be >= 1, got {input_size}, {hidden_size}"
             )
-        generator = as_generator(rng)
         self.input_size = input_size
         self.hidden_size = hidden_size
-        # Fused parameter layout: columns [i | f | o | g].
-        w_blocks = [glorot_uniform((input_size, hidden_size), generator) for _ in range(4)]
-        u_blocks = [orthogonal((hidden_size, hidden_size), generator) for _ in range(4)]
-        self.params: dict[str, np.ndarray] = {
-            "W": np.concatenate(w_blocks, axis=1),
-            "U": np.concatenate(u_blocks, axis=1),
-            "b": lstm_forget_bias(zeros((4 * hidden_size,)), hidden_size, forget_bias),
-        }
+        if params is None:
+            generator = as_generator(rng)
+            # Fused parameter layout: columns [i | f | o | g].
+            w_blocks = [
+                glorot_uniform((input_size, hidden_size), generator) for _ in range(4)
+            ]
+            u_blocks = [
+                orthogonal((hidden_size, hidden_size), generator) for _ in range(4)
+            ]
+            params = {
+                "W": np.concatenate(w_blocks, axis=1),
+                "U": np.concatenate(u_blocks, axis=1),
+                "b": lstm_forget_bias(
+                    zeros((4 * hidden_size,)), hidden_size, forget_bias
+                ),
+            }
+        self.params: dict[str, np.ndarray] = params
         self.grads: dict[str, np.ndarray] = {
             name: np.zeros_like(value) for name, value in self.params.items()
         }
         self._cache: _ForwardCache | None = None
+
+    @staticmethod
+    def param_shapes(input_size: int, hidden_size: int) -> dict[str, tuple[int, ...]]:
+        """Shapes of the fused ``W``, ``U`` and ``b`` of one layer."""
+        return {
+            "W": (input_size, 4 * hidden_size),
+            "U": (hidden_size, 4 * hidden_size),
+            "b": (4 * hidden_size,),
+        }
 
     # ------------------------------------------------------------------
     # forward
     # ------------------------------------------------------------------
 
     def zero_state(self, batch_size: int) -> LSTMState:
-        """Fresh all-zero recurrent state for ``batch_size`` sequences."""
+        """Fresh all-zero recurrent state for ``batch_size`` sequences,
+        in the weights' dtype."""
         shape = (batch_size, self.hidden_size)
-        return LSTMState(np.zeros(shape), np.zeros(shape))
+        dtype = self.params["U"].dtype
+        return LSTMState(np.zeros(shape, dtype), np.zeros(shape, dtype))
 
     def forward(
         self,
@@ -181,18 +210,20 @@ class LSTMLayer:
         weights = self.params["W"]
         recurrent = self.params["U"]
         bias = self.params["b"]
+        x = x.astype(weights.dtype, copy=False)
 
         # Input contribution for every timestep in one big matmul.
         x_flat = x.reshape(timesteps * batch, input_dim)
         z_input = (x_flat @ weights).reshape(timesteps, batch, 4 * hidden)
 
-        gate_i = np.empty((timesteps, batch, hidden))
-        gate_f = np.empty((timesteps, batch, hidden))
-        gate_o = np.empty((timesteps, batch, hidden))
-        gate_g = np.empty((timesteps, batch, hidden))
-        cells = np.empty((timesteps, batch, hidden))
-        hiddens = np.empty((timesteps, batch, hidden))
-        tanh_cells = np.empty((timesteps, batch, hidden))
+        shape = (timesteps, batch, hidden)
+        gate_i = np.empty(shape, weights.dtype)
+        gate_f = np.empty(shape, weights.dtype)
+        gate_o = np.empty(shape, weights.dtype)
+        gate_g = np.empty(shape, weights.dtype)
+        cells = np.empty(shape, weights.dtype)
+        hiddens = np.empty(shape, weights.dtype)
+        tanh_cells = np.empty(shape, weights.dtype)
 
         h_prev = state.h
         c_prev = state.c
@@ -230,13 +261,17 @@ class LSTMLayer:
         """Single online timestep for streaming detection.
 
         ``x_t`` has shape ``(B, D)``; returns ``(h_t, new_state)`` without
-        caching anything for backprop.  One :func:`sigmoid` call covers
-        the fused ``i | f | o`` block; sigmoid is elementwise and exact
-        under that fusion, so the state is bitwise what three per-gate
-        calls give.
+        caching anything for backprop.  ``x_t`` is cast to the weights'
+        dtype, and ``state`` must already hold it (a float64 state on
+        float32 weights would make every product float64).  One
+        :func:`sigmoid` call covers the fused ``i | f | o`` block;
+        sigmoid is elementwise and exact under that fusion, so the state
+        is bitwise what three per-gate calls give.
         """
         hidden = self.hidden_size
-        z = x_t @ self.params["W"] + state.h @ self.params["U"] + self.params["b"]
+        weights = self.params["W"]
+        x_t = np.asarray(x_t, dtype=weights.dtype)
+        z = x_t @ weights + state.h @ self.params["U"] + self.params["b"]
         gates = sigmoid(z[:, : 3 * hidden])
         i = gates[:, :hidden]
         f = gates[:, hidden : 2 * hidden]

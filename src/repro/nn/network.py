@@ -85,15 +85,60 @@ class StackedLSTMClassifier:
       ``k`` (paper Section V.2).
     """
 
-    def __init__(self, config: NetworkConfig, rng: SeedLike = None) -> None:
+    def __init__(
+        self,
+        config: NetworkConfig,
+        rng: SeedLike = None,
+        params: dict[str, dict[str, np.ndarray]] | None = None,
+    ) -> None:
+        """Draw initial weights from ``rng``, or adopt ``params``.
+
+        ``params`` holds stored weights nested per layer, as
+        :meth:`state_dict` writes them.  They are checked against
+        ``config`` and kept in their dtype, which must be float32 or
+        float64 and one for the whole network (:class:`ArtifactError`
+        otherwise); no initial weights are drawn then.
+        """
         self.config = config
+        stored = (
+            {} if params is None else _checked_params(params, self.param_shapes(config))
+        )
         layer_rngs = spawn_generators(rng, len(config.hidden_sizes) + 1)
         self.lstm_layers: list[LSTMLayer] = []
         in_size = config.input_size
-        for width, layer_rng in zip(config.hidden_sizes, layer_rngs[:-1]):
-            self.lstm_layers.append(LSTMLayer(in_size, width, rng=layer_rng))
+        for i, (width, layer_rng) in enumerate(zip(config.hidden_sizes, layer_rngs)):
+            self.lstm_layers.append(
+                LSTMLayer(in_size, width, rng=layer_rng, params=stored.get(f"lstm{i}"))
+            )
             in_size = width
-        self.output_layer = DenseLayer(in_size, config.num_classes, rng=layer_rngs[-1])
+        self.output_layer = DenseLayer(
+            in_size, config.num_classes, rng=layer_rngs[-1], params=stored.get("out")
+        )
+
+    @staticmethod
+    def param_shapes(config: NetworkConfig) -> dict[str, dict[str, tuple[int, ...]]]:
+        """Every weight's shape, nested per layer as :meth:`state_dict`
+        stores them."""
+        shapes: dict[str, dict[str, tuple[int, ...]]] = {}
+        in_size = config.input_size
+        for i, width in enumerate(config.hidden_sizes):
+            shapes[f"lstm{i}"] = LSTMLayer.param_shapes(in_size, width)
+            in_size = width
+        shapes["out"] = DenseLayer.param_shapes(in_size, config.num_classes)
+        return shapes
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of the weights, which every inference step computes
+        and keeps its recurrent state in."""
+        return self.output_layer.params["W"].dtype
+
+    def cast(self, dtype: Any) -> None:
+        """Store every weight as ``dtype``, resetting the gradients;
+        inference then runs in it."""
+        for _, layer in self._layers:
+            layer.params = {name: a.astype(dtype) for name, a in layer.params.items()}
+            layer.grads = {name: np.zeros_like(a) for name, a in layer.params.items()}
 
     # ------------------------------------------------------------------
     # parameter plumbing
@@ -128,7 +173,8 @@ class StackedLSTMClassifier:
         return sum(layer.parameter_count() for _, layer in self._layers)
 
     def memory_bytes(self) -> int:
-        """In-memory size of the parameters (the paper reports model KB)."""
+        """In-memory size of the parameters, in their dtype (the paper
+        reports model KB)."""
         return sum(array.nbytes for array in self.parameters().values())
 
     # ------------------------------------------------------------------
@@ -148,23 +194,6 @@ class StackedLSTMClassifier:
             "params": params,
         }
 
-    def load_state_dict(self, state: dict[str, Any]) -> None:
-        """Copy stored weights into this model (shapes must match)."""
-        stored = state["params"]
-        for name, param in self.parameters().items():
-            layer, pname = name.split("/", 1)
-            try:
-                array = stored[layer][pname]
-            except KeyError:
-                raise ArtifactError(f"model state missing parameter {name!r}")
-            array = np.asarray(array, dtype=np.float64)
-            if array.shape != param.shape:
-                raise ArtifactError(
-                    f"shape mismatch for {name}: stored {array.shape}, "
-                    f"model {param.shape}"
-                )
-            param[...] = array
-
     @classmethod
     def from_state(cls, state: dict[str, Any]) -> "StackedLSTMClassifier":
         """Rebuild a classifier from :meth:`state_dict` output."""
@@ -176,9 +205,7 @@ class StackedLSTMClassifier:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ArtifactError(f"bad network architecture state: {exc}") from exc
-        model = cls(config, rng=0)
-        model.load_state_dict(state)
-        return model
+        return cls(config, params=state["params"])
 
     # ------------------------------------------------------------------
     # forward / backward
@@ -292,16 +319,16 @@ class StackedLSTMClassifier:
 
         ``inputs`` is ``(T, D)``; row ``t`` of the result is
         ``Pr(s | c(t), c(t-1), ...)`` — the prediction *for the package
-        after position t*.
+        after position t*, in the weights' dtype.
         """
-        inputs = np.asarray(inputs, dtype=np.float64)
+        inputs = np.asarray(inputs, dtype=self.dtype)
         if inputs.ndim != 2:
             raise ValueError(f"inputs must be (T, D), got {inputs.shape}")
         logits, _ = self.forward(inputs[:, None, :], keep_cache=False)
         return softmax(logits[:, 0, :], axis=-1)
 
     def init_state(self, batch_size: int = 1) -> list[LSTMState]:
-        """Zero recurrent state for online stepping."""
+        """Zero recurrent state for online stepping, in the weights' dtype."""
         return [layer.zero_state(batch_size) for layer in self.lstm_layers]
 
     @staticmethod
@@ -342,8 +369,10 @@ class StackedLSTMClassifier:
 
         The returned distribution predicts the *next* package's signature
         given everything fed so far, exactly as consumed by ``F_t``.
+        Inputs are cast to the weights' dtype, and ``states`` must hold
+        it (as :meth:`init_state` makes them).
         """
-        x_t = np.asarray(x_t, dtype=np.float64)
+        x_t = np.asarray(x_t, dtype=self.dtype)
         squeeze = x_t.ndim == 1
         if squeeze:
             x_t = x_t[None, :]
@@ -368,3 +397,43 @@ class StackedLSTMClassifier:
         if total == 0:
             return 0.0
         return misses / total
+
+
+#: The dtypes a network's weights may be stored and computed in.
+WEIGHT_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
+
+
+def _checked_params(
+    stored: dict[str, Any], shapes: dict[str, dict[str, tuple[int, ...]]]
+) -> dict[str, dict[str, np.ndarray]]:
+    """Copies of the stored weights, checked against the architecture.
+
+    Each keeps its stored dtype, which must be one of
+    :data:`WEIGHT_DTYPES` and the same for every weight.
+    """
+    checked: dict[str, dict[str, np.ndarray]] = {}
+    dtypes = set()
+    for layer, names in shapes.items():
+        for pname, shape in names.items():
+            name = f"{layer}/{pname}"
+            try:
+                array = np.array(stored[layer][pname])
+            except KeyError:
+                raise ArtifactError(f"model state missing parameter {name!r}")
+            if array.dtype not in WEIGHT_DTYPES:
+                raise ArtifactError(
+                    f"{name} is stored as {array.dtype}; weights must be "
+                    "float32 or float64"
+                )
+            if array.shape != shape:
+                raise ArtifactError(
+                    f"shape mismatch for {name}: stored {array.shape}, "
+                    f"model {shape}"
+                )
+            dtypes.add(array.dtype)
+            checked.setdefault(layer, {})[pname] = array
+    if len(dtypes) > 1:
+        raise ArtifactError(
+            f"model weights mix dtypes: {sorted(str(d) for d in dtypes)}"
+        )
+    return checked

@@ -163,7 +163,8 @@ def state_to_bytes(state: dict[str, Any], kind: str = "state-blob") -> bytes:
     """
     buffer = io.BytesIO()
     # Uncompressed: these blobs cross a pipe once and are discarded;
-    # recurrent-state float64 compresses poorly anyway.
+    # recurrent state and weights (float32 or float64 mantissas)
+    # compress poorly anyway.
     _pack(buffer, state, kind, None, compress=False)
     return buffer.getvalue()
 

@@ -78,3 +78,25 @@ def registry(registry_root):
     from repro.registry import ModelRegistry
 
     return ModelRegistry(registry_root)
+
+
+def _with_weights_as(detector, dtype):
+    from repro.core.combined import CombinedDetector
+
+    state = detector.state_dict()
+    for layer in state["timeseries"]["model"]["params"].values():
+        for name, array in layer.items():
+            layer[name] = array.astype(dtype)
+    return CombinedDetector.from_state(state)
+
+
+@pytest.fixture(scope="session")
+def weights_as():
+    """``weights_as(detector, dtype)``: a copy of ``detector`` whose
+    network weights are stored as ``dtype``.
+
+    Trained detectors are published in float32; a float64 copy of the
+    same weights stands for an artifact written before that, and is the
+    reference the float32 verdicts are held to.
+    """
+    return _with_weights_as

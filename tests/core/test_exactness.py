@@ -8,7 +8,10 @@ Offline ``detect()`` runs the same engine, so comparing the two cannot
 catch a numeric drift.  This module keeps the reference path — columnar
 ``transform_columns``, ``signature_of`` + ``BloomFilter.__contains__`` +
 ``vocabulary.id_of``, the masked piecewise sigmoid — and demands that
-every verdict, level and recurrent-state byte be identical.
+every verdict, level and recurrent-state byte be identical.  The
+reference computes in the dtype of the network's weights (float32 for a
+trained detector), as the engine does, and refuses a step whose input or
+state is of another dtype.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ from repro.scenarios import scenario_names
 
 
 def piecewise_sigmoid(x):
-    """Sigmoid on the two masked halves, one ``exp`` call each."""
-    out = np.empty_like(x, dtype=np.float64)
+    """Sigmoid on the two masked halves, one ``exp`` call each, in the
+    dtype of ``x``."""
+    out = np.empty_like(x)
     positive = x >= 0
     negative = ~positive
     out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
@@ -88,9 +92,9 @@ def reference_codes(discretizer, package, prev_time):
     return (*scalar, reference_pid_code(discretizer.channel("pid"), pid_row(package)))
 
 
-def reference_encode(encoder, codes, flags):
+def reference_encode(encoder, codes, flags, dtype):
     offsets = np.concatenate([[0], np.cumsum(encoder.cardinalities[:-1])])
-    x = np.zeros((len(codes), encoder.input_size))
+    x = np.zeros((len(codes), encoder.input_size), dtype)
     for row, vector in enumerate(codes):
         for channel, code in enumerate(vector):
             assert 0 <= code < encoder.cardinalities[channel]
@@ -100,8 +104,11 @@ def reference_encode(encoder, codes, flags):
 
 
 def reference_step(layer, x, state):
-    """``LSTMLayer.step`` with one masked sigmoid call per gate."""
+    """``LSTMLayer.step`` with one masked sigmoid call per gate, in the
+    weights' dtype."""
     hidden = layer.hidden_size
+    dtype = layer.params["W"].dtype
+    assert x.dtype == state.h.dtype == state.c.dtype == dtype
     z = x @ layer.params["W"] + state.h @ layer.params["U"] + layer.params["b"]
     i = piecewise_sigmoid(z[:, :hidden])
     f = piecewise_sigmoid(z[:, hidden : 2 * hidden])
@@ -147,7 +154,9 @@ class ReferenceEngine:
             sets = top_k_sets(current.last_probs[check], detector.timeseries.k)
             verdicts[check] = ~(sets == ids[check, None]).any(axis=1)
         model = detector.timeseries.model
-        hidden = reference_encode(detector.timeseries.encoder, codes, verdicts)
+        hidden = reference_encode(
+            detector.timeseries.encoder, codes, verdicts, model.dtype
+        )
         layers = []
         for layer, layer_state in zip(model.lstm_layers, current.lstm_states):
             hidden, layer_state = reference_step(layer, hidden, layer_state)
@@ -193,50 +202,113 @@ def ci_run(request):
     return result.detector, result.dataset.test_packages
 
 
-class TestScenarioCaptures:
-    def test_one_row_ticks_match_reference(self, ci_run):
-        detector, capture = ci_run
-        engine = detector.engine(1)
-        reference = ReferenceEngine(detector, 1)
-        for number, package in enumerate(capture):
-            verdicts, levels = engine.observe_batch([package])
-            want_verdicts, want_levels = reference.tick([0], [package])
-            assert np.array_equal(verdicts, want_verdicts), number
-            assert np.array_equal(levels, want_levels), number
-            if number % 200 == 0:
-                assert_same_state_bytes(engine, reference)
-        assert_same_state_bytes(engine, reference)
+def check_one_row_ticks(detector, capture):
+    engine = detector.engine(1)
+    reference = ReferenceEngine(detector, 1)
+    for number, package in enumerate(capture):
+        verdicts, levels = engine.observe_batch([package])
+        want_verdicts, want_levels = reference.tick([0], [package])
+        assert np.array_equal(verdicts, want_verdicts), number
+        assert np.array_equal(levels, want_levels), number
+        if number % 200 == 0:
+            assert_same_state_bytes(engine, reference)
+    assert_same_state_bytes(engine, reference)
 
-    def test_full_and_partial_multi_stream_ticks_match_reference(self, ci_run):
+
+def check_multi_stream_ticks(detector, capture):
+    third = len(capture) // 3
+    streams = [capture[i * third : (i + 1) * third] for i in range(3)]
+    engine = detector.engine(3)
+    ids = engine.stream_ids
+    reference = ReferenceEngine(detector, 3)
+    cursor = [0, 0, 0]
+    tick = 0
+    while True:
+        rows = SCHEDULE[tick % len(SCHEDULE)]
+        if any(cursor[row] >= third for row in rows):
+            break
+        batch = [streams[row][cursor[row]] for row in rows]
+        if rows == (0, 1, 2):
+            verdicts, levels = engine.observe_batch(batch)
+        else:
+            verdicts, levels = engine.observe_batch(
+                {ids[row]: package for row, package in zip(rows, batch)}
+            )
+        want_verdicts, want_levels = reference.tick(list(rows), batch)
+        assert np.array_equal(verdicts, want_verdicts), tick
+        assert np.array_equal(levels, want_levels), tick
+        for row in rows:
+            cursor[row] += 1
+        if tick % 100 == 0:
+            assert_same_state_bytes(engine, reference)
+        tick += 1
+    assert tick > 100
+    assert_same_state_bytes(engine, reference)
+
+
+class TestScenarioCaptures:
+    """The engine against the reference path, on the detector as trained
+    (float32) and on a float64 copy of its weights, the dtype of every
+    artifact and checkpoint written before float32 serving."""
+
+    def test_one_row_ticks_match_reference(self, ci_run, weights_as):
         detector, capture = ci_run
+        assert detector.timeseries.model.dtype == np.float32
+        check_one_row_ticks(detector, capture)
+        check_one_row_ticks(weights_as(detector, np.float64), capture)
+
+    def test_full_and_partial_multi_stream_ticks_match_reference(
+        self, ci_run, weights_as
+    ):
+        detector, capture = ci_run
+        check_multi_stream_ticks(detector, capture)
+        check_multi_stream_ticks(weights_as(detector, np.float64), capture)
+
+
+class TestFloat64Agreement:
+    """The float32 detector judges every ci test capture like a float64
+    copy of the same weights: the proof that publishing detectors in
+    float32 changes no verdict and no level."""
+
+    def test_one_row_ticks_match_float64(self, ci_run, weights_as):
+        detector, capture = ci_run
+        assert detector.timeseries.model.dtype == np.float32
+        wide = weights_as(detector, np.float64)
+        got, want = detector.detect(capture), wide.detect(capture)
+        assert np.array_equal(got.is_anomaly, want.is_anomaly)
+        assert np.array_equal(got.level, want.level)
+
+    def test_multi_stream_ticks_match_float64(self, ci_run, weights_as):
+        """``SCHEDULE``'s tick shapes in float32 against the same ticks in
+        float64, and against each stream's solo float64 ``detect()``."""
+        detector, capture = ci_run
+        wide = weights_as(detector, np.float64)
         third = len(capture) // 3
         streams = [capture[i * third : (i + 1) * third] for i in range(3)]
-        engine = detector.engine(3)
-        ids = engine.stream_ids
-        reference = ReferenceEngine(detector, 3)
+        engines = [detector.engine(3), wide.engine(3)]
+        levels = [[], [], []]
         cursor = [0, 0, 0]
         tick = 0
         while True:
             rows = SCHEDULE[tick % len(SCHEDULE)]
             if any(cursor[row] >= third for row in rows):
                 break
-            batch = [streams[row][cursor[row]] for row in rows]
-            if rows == (0, 1, 2):
-                verdicts, levels = engine.observe_batch(batch)
-            else:
-                verdicts, levels = engine.observe_batch(
-                    {ids[row]: package for row, package in zip(rows, batch)}
+            narrow, broad = (
+                engine.observe_batch(
+                    {engine.stream_ids[row]: streams[row][cursor[row]] for row in rows}
                 )
-            want_verdicts, want_levels = reference.tick(list(rows), batch)
-            assert np.array_equal(verdicts, want_verdicts), tick
-            assert np.array_equal(levels, want_levels), tick
-            for row in rows:
+                for engine in engines
+            )
+            assert np.array_equal(narrow[0], broad[0]), tick
+            assert np.array_equal(narrow[1], broad[1]), tick
+            for row, level in zip(rows, narrow[1]):
+                levels[row].append(int(level))
                 cursor[row] += 1
-            if tick % 100 == 0:
-                assert_same_state_bytes(engine, reference)
             tick += 1
         assert tick > 100
-        assert_same_state_bytes(engine, reference)
+        for row, stream in enumerate(streams):
+            solo = wide.detect(stream[: cursor[row]])
+            assert levels[row] == solo.level.tolist(), row
 
 
 # ----------------------------------------------------------------------
@@ -413,41 +485,68 @@ class TestVectorizedPid:
 # ----------------------------------------------------------------------
 
 
+#: The float dtypes a network computes in.
+FLOATS = (np.float32, np.float64)
+
+
 def assert_bitwise_sigmoid(x):
-    assert sigmoid(x).view(np.int64).tolist() == piecewise_sigmoid(x).view(
-        np.int64
-    ).tolist()
+    got, want = sigmoid(x), piecewise_sigmoid(x)
+    assert got.dtype == want.dtype == x.dtype
+    bits = np.dtype(f"int{8 * x.itemsize}")
+    assert got.view(bits).tolist() == want.view(bits).tolist()
+
+
+def float_arrays(dtype):
+    """Non-NaN arrays of ``dtype``, infinities and subnormals included."""
+    return hnp.arrays(
+        dtype,
+        st.integers(1, 64),
+        elements=st.floats(
+            allow_nan=False,
+            allow_infinity=True,
+            allow_subnormal=True,
+            width=8 * np.dtype(dtype).itemsize,
+        ),
+    )
 
 
 class TestFusedSigmoid:
     @settings(max_examples=500, deadline=None)
-    @given(hnp.arrays(
-        np.float64,
-        st.integers(1, 64),
-        elements=st.floats(allow_nan=False, allow_infinity=True, allow_subnormal=True),
-    ))
+    @given(float_arrays(np.float64))
     def test_bitwise_equal_to_piecewise(self, x):
         assert_bitwise_sigmoid(x)
 
-    def test_special_values(self):
-        x = np.array([
-            0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 745.2, -745.2,
-            709.78, -709.78, 5e-324, -5e-324, np.finfo(np.float64).max,
-            -np.finfo(np.float64).max, 36.7, -36.7,
-        ])
+    @settings(max_examples=500, deadline=None)
+    @given(float_arrays(np.float32))
+    def test_bitwise_equal_to_piecewise_in_float32(self, x):
         assert_bitwise_sigmoid(x)
 
+    def test_special_values(self):
+        for dtype in FLOATS:
+            info = np.finfo(dtype)
+            x = np.array([
+                0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 745.2, -745.2,
+                709.78, -709.78, 88.7, -88.7, 103.9, -103.9, 36.7, -36.7,
+                17.3, -17.3,
+            ], dtype=dtype)
+            extremes = np.array(
+                [info.max, -info.max, info.smallest_subnormal, -info.smallest_subnormal],
+                dtype=dtype,
+            )
+            assert_bitwise_sigmoid(np.concatenate([x, extremes]))
+
     def test_random_bit_patterns(self):
-        rng = np.random.default_rng(0)
-        x = rng.integers(-(2**63), 2**63 - 1, size=200_000, dtype=np.int64).view(
-            np.float64
-        )
-        x = x[~np.isnan(x)]
-        assert_bitwise_sigmoid(x)
-        # Strided and offset views, as the fused gate block is.
-        block = rng.normal(scale=20.0, size=(7, 96))
-        assert_bitwise_sigmoid(block[:, :72])
-        assert_bitwise_sigmoid(block[:, 3:])
+        for dtype in FLOATS:
+            rng = np.random.default_rng(0)
+            bits = np.dtype(f"int{8 * np.dtype(dtype).itemsize}")
+            info = np.iinfo(bits)
+            x = rng.integers(info.min, info.max, size=200_000, dtype=bits).view(dtype)
+            x = x[~np.isnan(x)]
+            assert_bitwise_sigmoid(x)
+            # Strided and offset views, as the fused gate block is.
+            block = rng.normal(scale=20.0, size=(7, 96)).astype(dtype)
+            assert_bitwise_sigmoid(block[:, :72])
+            assert_bitwise_sigmoid(block[:, 3:])
 
     def test_nan_gives_nan(self):
         out = sigmoid(np.array([np.nan, 1.0, -np.nan]))

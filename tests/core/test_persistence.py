@@ -6,6 +6,10 @@ The two headline properties the layer guarantees:
   ``detect()`` output bit-identical to the in-memory original,
 - a :class:`StreamEngine` checkpointed mid-stream and resumed produces
   bit-identical verdicts to an uninterrupted run.
+
+Trained detectors store their network weights in float32 and serve in
+that dtype; a file holding float64 weights (written before that) loads,
+serves and resumes in float64.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from repro.core.signatures import SignatureVocabulary
 from repro.core.stream_engine import StreamEngine
 from repro.core.timeseries_detector import TimeSeriesDetectorConfig
 from repro.ics.dataset import DatasetConfig, generate_dataset
+from repro.nn import dense, lstm
 from repro.persistence import (
     checkpoint_meta,
     load_checkpoint,
@@ -322,3 +327,109 @@ class TestEngineCheckpoint:
         save_checkpoint(engine, path)
         with pytest.raises(ArtifactError, match="architecture"):
             load_checkpoint(path, detector=other)
+
+
+def engine_state_bytes(engine):
+    streams = engine.state_dict()["streams"]
+    arrays = [streams["last_probs"]]
+    for layer in streams["lstm"].values():
+        arrays += [layer["h"], layer["c"]]
+    return [(array.dtype, array.tobytes()) for array in arrays]
+
+
+class TestWeightDtypes:
+    def test_trained_weights_are_float32(self, detector):
+        params = detector.timeseries.model.parameters()
+        assert {array.dtype for array in params.values()} == {np.dtype(np.float32)}
+        assert detector.timeseries.memory_bytes() == 4 * sum(
+            array.size for array in params.values()
+        )
+
+    def test_float64_artifact_and_checkpoint_stay_float64(
+        self, dataset, detector, weights_as, tmp_path
+    ):
+        wide = weights_as(detector, np.float64)
+        path = tmp_path / "detector.npz"
+        save_detector(wide, path)
+        loaded = load_detector(path)
+        assert loaded.timeseries.model.dtype == np.float64
+        packages = dataset.test_packages
+        want = wide.detect(packages)
+        got = loaded.detect(packages)
+        np.testing.assert_array_equal(got.is_anomaly, want.is_anomaly)
+        np.testing.assert_array_equal(got.level, want.level)
+
+        uninterrupted = wide.engine(2)
+        engine = loaded.engine(2)
+        pairs = [[packages[t], packages[-1 - t]] for t in range(60)]
+        for pair in pairs[:25]:
+            uninterrupted.observe_batch(pair)
+            engine.observe_batch(pair)
+        checkpoint = tmp_path / "checkpoint.npz"
+        save_checkpoint(engine, checkpoint)
+        resumed = load_checkpoint(checkpoint)
+        assert resumed.detector.timeseries.model.dtype == np.float64
+        for pair in pairs[25:]:
+            verdicts, levels = resumed.observe_batch(pair)
+            want_verdicts, want_levels = uninterrupted.observe_batch(pair)
+            np.testing.assert_array_equal(verdicts, want_verdicts)
+            np.testing.assert_array_equal(levels, want_levels)
+        assert engine_state_bytes(resumed) == engine_state_bytes(uninterrupted)
+        assert {dtype for dtype, _ in engine_state_bytes(resumed)} == {
+            np.dtype(np.float64)
+        }
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.int64, np.complex128])
+    def test_other_stored_dtypes_are_artifact_errors(self, detector, dtype, tmp_path):
+        state = detector.state_dict()
+        params = state["timeseries"]["model"]["params"]
+        for layer in params.values():
+            for name, array in layer.items():
+                layer[name] = array.astype(dtype)
+        path = tmp_path / "detector.npz"
+        save_artifact(state, path, kind="combined-detector")
+        with pytest.raises(ArtifactError, match="float32 or float64"):
+            load_detector(path)
+
+    def test_mixed_weight_dtypes_are_artifact_errors(self, detector, tmp_path):
+        state = detector.state_dict()
+        out = state["timeseries"]["model"]["params"]["out"]
+        out["W"] = out["W"].astype(np.float64)
+        path = tmp_path / "detector.npz"
+        save_artifact(state, path, kind="combined-detector")
+        with pytest.raises(ArtifactError, match="mix dtypes"):
+            load_detector(path)
+
+    def test_shape_checks_hold_without_initial_weights(self, detector, tmp_path):
+        state = detector.state_dict()
+        params = state["timeseries"]["model"]["params"]
+        params["lstm0"]["U"] = params["lstm0"]["U"][:, :-1]
+        path = tmp_path / "detector.npz"
+        save_artifact(state, path, kind="combined-detector")
+        with pytest.raises(ArtifactError, match="shape mismatch for lstm0/U"):
+            load_detector(path)
+        del params["lstm0"]["U"]
+        save_artifact(state, path, kind="combined-detector")
+        with pytest.raises(ArtifactError, match="missing parameter 'lstm0/U'"):
+            load_detector(path)
+
+    def test_load_draws_no_initial_weights(
+        self, dataset, detector, monkeypatch, tmp_path
+    ):
+        path = tmp_path / "detector.npz"
+        save_detector(detector, path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a load drew initial weights")
+
+        for module, name in (
+            (lstm, "glorot_uniform"),
+            (lstm, "orthogonal"),
+            (dense, "glorot_uniform"),
+        ):
+            monkeypatch.setattr(module, name, refuse)
+        loaded = load_detector(path)
+        packages = dataset.test_packages[:200]
+        np.testing.assert_array_equal(
+            loaded.detect(packages).level, detector.detect(packages).level
+        )

@@ -183,3 +183,44 @@ class TestStateBatching:
         batched_probs, batched_states = model.step(xs, model.init_state(3))
         np.testing.assert_allclose(batched_probs, np.stack(singles), rtol=0, atol=1e-12)
         assert all(s.batch_size == 3 for s in batched_states)
+
+
+class TestWeightDtype:
+    """A network computes, and keeps its state, in its weights' dtype."""
+
+    def test_float32_weights_step_and_predict_in_float32(self):
+        model = StackedLSTMClassifier(NetworkConfig(4, (6, 5), 4), rng=0)
+        assert model.dtype == np.float64
+        model.cast(np.float32)
+        assert model.dtype == np.float32
+        x = np.random.default_rng(7).normal(size=(3, 4))
+        states = model.init_state(3)
+        assert {s.h.dtype for s in states} == {s.c.dtype for s in states} == {
+            np.dtype(np.float32)
+        }
+        probs, stepped = model.step(x, states)
+        assert probs.dtype == np.float32
+        assert {s.h.dtype for s in stepped} == {s.c.dtype for s in stepped} == {
+            np.dtype(np.float32)
+        }
+        # A float64 input is cast first: the same bits as a float32 one.
+        narrow, _ = model.step(x.astype(np.float32), states)
+        assert probs.tobytes() == narrow.tobytes()
+        assert model.predict_proba(x).dtype == np.float32
+        # Layer by layer on float64 inputs, as a seam-by-seam replay calls them.
+        hidden = x
+        for layer, state in zip(model.lstm_layers, states):
+            hidden, _ = layer.step(hidden, state)
+            assert hidden.dtype == np.float32
+            hidden = hidden.astype(np.float64)
+        logits = model.output_layer.forward(hidden, keep_cache=False)
+        assert logits.dtype == np.float32
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_state_round_trip_keeps_the_dtype(self, dtype):
+        model = StackedLSTMClassifier(NetworkConfig(4, (6, 5), 4), rng=0)
+        model.cast(dtype)
+        restored = StackedLSTMClassifier.from_state(model.state_dict())
+        assert restored.dtype == dtype
+        for name, param in model.parameters().items():
+            assert restored.parameters()[name].tobytes() == param.tobytes()

@@ -85,6 +85,18 @@ def test_version_bump_invalidates(monkeypatch):
     assert not result.from_cache
 
 
+def test_serving_dtype_keys_the_entry(monkeypatch):
+    """An entry trained under another serving dtype (a float64 detector
+    of an earlier build) is never handed out."""
+    run_pipeline("ci")
+    path = _cache_path(get_profile("ci"))
+    assert "float32" in path.name
+    clear_pipeline_cache()
+    monkeypatch.setattr(pipeline, "SERVING_DTYPE", np.dtype(np.float64))
+    assert _cache_path(get_profile("ci")) != path
+    assert not run_pipeline("ci").from_cache
+
+
 def test_corrupt_entry_retrains():
     run_pipeline("ci")
     path = _cache_path(get_profile("ci"))
