@@ -565,12 +565,8 @@ def _profile_from_args_and_meta(args: argparse.Namespace, meta: dict[str, Any]) 
 
 def _observe_stream(engine, packages) -> tuple[np.ndarray, np.ndarray]:
     """Advance a single-stream engine through ``packages``."""
-    anomalies = np.zeros(len(packages), dtype=bool)
-    levels = np.zeros(len(packages), dtype=np.int64)
-    for i, package in enumerate(packages):
-        verdicts, tags = engine.observe_batch([package])
-        anomalies[i], levels[i] = bool(verdicts[0]), int(tags[0])
-    return anomalies, levels
+    (stream_id,) = engine.stream_ids
+    return engine.observe_stream(stream_id, packages)
 
 
 def _report(

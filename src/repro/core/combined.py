@@ -116,8 +116,7 @@ class StreamMonitor:
 
     def observe(self, package: Package) -> tuple[bool, int]:
         """Classify one package; returns ``(is_anomaly, level)``."""
-        anomalies, levels = self._engine.observe_batch([package])
-        return bool(anomalies[0]), int(levels[0])
+        return self._engine.observe(self._stream_id, package)
 
 
 class CombinedDetector:
@@ -272,18 +271,15 @@ class CombinedDetector:
         return engine
 
     def detect(self, packages: Iterable[Package]) -> DetectionResult:
-        """Classify a recorded stream package-by-package."""
-        monitor = self.stream()
-        verdicts: list[bool] = []
-        levels: list[int] = []
-        for package in packages:
-            verdict, level = monitor.observe(package)
-            verdicts.append(verdict)
-            levels.append(level if verdict else LEVEL_NONE)
-        return DetectionResult(
-            is_anomaly=np.array(verdicts, dtype=bool),
-            level=np.array(levels, dtype=np.int64),
-        )
+        """Classify a recorded stream package by package.
+
+        One fresh stream takes the packages as one-row ticks, in engine
+        passes of bounded length; the verdicts are those of a
+        :meth:`stream` monitor fed the same packages.
+        """
+        engine = self.engine(1)
+        anomalies, levels = engine.observe_stream(engine.stream_ids[0], packages)
+        return DetectionResult(is_anomaly=anomalies, level=levels)
 
     # ------------------------------------------------------------------
 

@@ -465,7 +465,8 @@ class IdentityDiscretizer(_BaseDiscretizer):
         self._require_fitted()
         if value is None or (isinstance(value, float) and not math.isfinite(value)):
             return self.missing_code
-        return self.mapping_.get(float(value), self.out_of_range_code)
+        code = self.mapping_.get(float(value))
+        return self.out_of_range_code if code is None else code
 
     def transform_many(self, values: Sequence[float | None]) -> np.ndarray:
         return np.array([self.transform(v) for v in values], dtype=np.int64)
@@ -740,12 +741,12 @@ class FeatureDiscretizer:
         and its time interval is measured against ``prev_times[i]``
         (``None`` when stream ``i`` has no history yet).
 
-        Built for ticks of one or a few rows: each package makes one pass
-        over the twelve scalar channels through their pure-Python
+        Built for drains of one to a few dozen rows: each package makes
+        one pass over the scalar channels through their pure-Python
         ``transform``, and only the joint PID clustering is vectorized,
-        across the tick's rows.  Exactness contract: the codes are
-        bitwise those of the columnar :meth:`transform_columns` path
-        (each channel's ``transform`` equals its ``transform_many``).
+        across the rows.  Exactness contract: the codes are bitwise
+        those of the columnar :meth:`transform_columns` path (each
+        channel's ``transform`` equals its ``transform_many``).
         """
         self._require_fitted()
         if len(packages) != len(prev_times):

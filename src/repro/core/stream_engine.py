@@ -5,10 +5,22 @@ terminates many field-bus connections at once, and stepping one LSTM per
 stream per package wastes almost all of its time in per-call Python and
 small-matmul overhead.  :class:`StreamEngine` monitors ``N`` concurrent
 package streams with **one batched LSTM step per tick**: the per-stream
-``(h, c)`` recurrent states live stacked along a batch dimension,
-signature discretization runs column-wise across the batch, Bloom
-membership probes run as a single bit-gather, and the top-k check is one
-vectorized membership test over the ``(N, |S|)`` prediction matrix.
+``(h, c)`` recurrent states live stacked along a batch dimension, and a
+tick advances each stream it holds by one package.
+
+A caller with several ticks waiting hands them over as one *drain*
+(:meth:`StreamEngine.observe_ticks`), which the engine runs as one
+*pass*.  The Fig. 3 seams without recurrence run once over every row of
+the drain: discretization (each row's interval chained to its stream's
+previous package), the signature-table lookup giving the Bloom verdict
+and the vocabulary id, the one-hot rows, and selecting the touched
+streams' state rows and scattering them back.  Only the recurrent part
+runs tick by tick: the top-k check on each stream's previous
+prediction, the noise bit, and one ``model.step`` on the tick's rows.
+Every tick's LSTM, dense and top-k operands keep the shapes and values
+they have when the tick runs alone, so a pass is bit-identical to its
+ticks run one call at a time; :meth:`StreamEngine.observe_batch` is a
+one-tick pass.
 
 Streams attach and detach dynamically: attaching pads the batch with a
 fresh zero state, detaching compacts the departed row out of every
@@ -17,19 +29,22 @@ the detector's network weights (float32 for a freshly trained
 detector) from creation through checkpoint and resume, so every step
 multiplies like dtypes.  A 1-stream engine is bit-identical to the
 paper's Fig.-3 data path — :class:`~repro.core.combined.StreamMonitor`
-is now a thin view over exactly that.
+and offline :meth:`~repro.core.combined.CombinedDetector.detect` run
+exactly that.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import asdict, dataclass
+from itertools import islice
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from repro.core.timeseries_detector import BatchStreamState, StreamState
 from repro.ics.features import Package
+from repro.nn.losses import top_k_sets
 from repro.nn.network import StackedLSTMClassifier
 from repro.utils.artifact import ArtifactError
 
@@ -40,6 +55,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 LEVEL_NONE, LEVEL_PACKAGE, LEVEL_TIMESERIES = 0, 1, 2
 LEVEL_NAMES = {LEVEL_NONE: "normal", LEVEL_PACKAGE: "package", LEVEL_TIMESERIES: "time-series"}
 
+#: One-row ticks per pass when :meth:`StreamEngine.observe_stream` runs
+#: a recorded sequence: bounds the pass's one-hot rows and codes.
+STREAM_CHUNK = 512
+
 
 @dataclass
 class EngineStats:
@@ -49,7 +68,7 @@ class EngineStats:
     continuous totals.
     """
 
-    ticks: int = 0  # observe_batch calls that advanced >= 1 stream
+    ticks: int = 0  # ticks that advanced >= 1 stream
     packages: int = 0  # packages observed across all streams
     alerts: int = 0  # anomalous verdicts
     package_level: int = 0  # alerts raised by the Bloom signature check
@@ -62,7 +81,8 @@ class StreamEngine:
     Each attached stream owns a stable integer id and one batch row
     (its *slot*).  :meth:`observe_batch` advances every stream by one
     package; passing a mapping instead advances only the streams that
-    actually received traffic this tick.
+    actually received traffic this tick.  :meth:`observe_ticks` runs
+    several successive ticks as one pass.
 
     Example::
 
@@ -77,6 +97,7 @@ class StreamEngine:
         self._state: BatchStreamState = detector.timeseries.new_stream_batch(0)
         self._prev_times: list[float | None] = []
         self._stream_ids: list[int] = []
+        self._slots: dict[int, int] = {}  # stream id -> slot
         self._next_id = 0
         self._stats = EngineStats()
 
@@ -119,6 +140,8 @@ class StreamEngine:
             return []
         stream_ids = list(range(self._next_id, self._next_id + count))
         self._next_id += count
+        first = len(self._stream_ids)
+        self._slots.update((sid, first + i) for i, sid in enumerate(stream_ids))
         self._stream_ids.extend(stream_ids)
         self._prev_times.extend([None] * count)
         fresh = self._detector.timeseries.new_stream_batch(count)
@@ -132,6 +155,7 @@ class StreamEngine:
         self._state = self._state.select(keep)
         del self._stream_ids[slot]
         del self._prev_times[slot]
+        self._slots = {sid: i for i, sid in enumerate(self._stream_ids)}
 
     def packages_seen(self, stream_id: int) -> int:
         """Number of packages observed on one stream."""
@@ -157,10 +181,10 @@ class StreamEngine:
         )
 
     def _slot_of(self, stream_id: int) -> int:
-        try:
-            return self._stream_ids.index(stream_id)
-        except ValueError:
-            raise KeyError(f"no attached stream with id {stream_id}") from None
+        slot = self._slots.get(stream_id)
+        if slot is None:
+            raise KeyError(f"no attached stream with id {stream_id}")
+        return slot
 
     # ------------------------------------------------------------------
     # persistence (live checkpointing)
@@ -234,6 +258,7 @@ class StreamEngine:
                 f"vocabulary holds {num_classes}"
             )
         engine._stream_ids = stream_ids
+        engine._slots = {sid: i for i, sid in enumerate(stream_ids)}
         engine._next_id = next_id
         engine._prev_times = [
             float(t) if known else None for t, known in zip(prev_times, prev_known)
@@ -252,8 +277,30 @@ class StreamEngine:
 
     def observe(self, stream_id: int, package: Package) -> tuple[bool, int]:
         """Advance a single stream by one package (partial tick)."""
-        anomalies, levels = self.observe_batch({stream_id: package})
+        anomalies, levels = self.observe_ticks([{stream_id: package}])[0]
         return bool(anomalies[0]), int(levels[0])
+
+    def observe_stream(
+        self, stream_id: int, packages: Iterable[Package]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Advance one stream through a recorded sequence of packages.
+
+        The packages run as one-row ticks, :data:`STREAM_CHUNK` of them
+        per pass, so memory stays bounded for a capture of any length.
+        Returns ``(anomalies, levels)`` over the whole sequence.
+        """
+        anomalies: list[np.ndarray] = []
+        levels: list[np.ndarray] = []
+        iterator = iter(packages)
+        while chunk := list(islice(iterator, STREAM_CHUNK)):
+            for verdicts, tags in self.observe_ticks(
+                [{stream_id: package} for package in chunk]
+            ):
+                anomalies.append(verdicts)
+                levels.append(tags)
+        if not anomalies:
+            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+        return np.concatenate(anomalies), np.concatenate(levels)
 
     def observe_batch(
         self, packages: Sequence[Package] | Mapping[int, Package]
@@ -265,63 +312,175 @@ class StreamEngine:
         stream advances.  Given a mapping ``{stream_id: package}``, only
         those streams advance; the rest keep their state untouched.
         Result arrays align with the input order and hold one verdict
-        plus one ``LEVEL_*`` tag per observed package.
-
-        Exactness contract: verdicts, levels and every recurrent-state
-        byte equal the reference Fig. 3 path (columnar discretization,
-        ``signature_of`` + Bloom probe + vocabulary lookup, piecewise
-        sigmoid) at any batch size, including partial ticks.
+        plus one ``LEVEL_*`` tag per observed package.  The tick runs as
+        a one-tick :meth:`observe_ticks` pass.
         """
-        if isinstance(packages, Mapping):
-            items = list(packages.items())
-            slots = [self._slot_of(stream_id) for stream_id, _ in items]
-            batch = [package for _, package in items]
-            partial = slots != list(range(self.num_streams))
-        else:
+        if not isinstance(packages, Mapping):
             batch = list(packages)
             if len(batch) != self.num_streams:
                 raise ValueError(
                     f"{len(batch)} packages given for {self.num_streams} "
                     "attached streams (use a mapping for partial ticks)"
                 )
-            slots = list(range(self.num_streams))
-            partial = False
-        if not batch:
-            return np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64)
+            packages = dict(zip(self._stream_ids, batch))
+        return self.observe_ticks([packages])[0]
+
+    def observe_ticks(
+        self, ticks: Sequence[Mapping[int, Package]]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Run a drain of successive ticks as one pass.
+
+        ``ticks[t]`` maps ``{stream_id: package}`` and advances each of
+        its streams by one package, after every earlier tick of the
+        drain.  Returns each tick's ``(anomalies, levels)``, aligned with
+        its mapping's order.
+
+        The seams without recurrence run once over all of the drain's
+        rows: discretization (a row's interval is measured against its
+        stream's previous package, earlier in the drain or before it),
+        the signature-table lookup for the Bloom verdict and vocabulary
+        id, the one-hot rows, and selecting the touched streams' state
+        rows and scattering them back.  Tick by tick run the top-k check
+        on each stream's previous prediction, the noise bit, and one
+        ``model.step`` on a fresh C-contiguous input of the tick's own
+        shape, its state rows in the tick's order.  Bloom-flagged rows
+        skip the top-k check but still feed the recurrent history with
+        the noise bit set; a stream's first package passes.
+
+        Exactness contract: every tick's LSTM, dense and top-k operands
+        have the shapes and values they have when the tick runs alone,
+        so verdicts, levels, every recurrent-state byte and the
+        :class:`EngineStats` equal running the ticks one call at a time,
+        and equal the reference Fig. 3 path (columnar discretization,
+        ``signature_of`` + Bloom probe + vocabulary lookup, piecewise
+        sigmoid).  Every stream id and code is checked before any state
+        changes, so a rejected drain leaves the engine as it was.
+        """
+        slots = self._slots
+        had = self._state.has_probs
+        packages: list[Package] = []
+        bounds = [0]  # tick t holds drain rows bounds[t]:bounds[t + 1]
+        rows: list[int] = []  # drain row -> its stream's working row
+        working: dict[int, int] = {}  # touched slot -> working row
+        times: list[float | None] = []  # working row -> latest time
+        counts: list[int] = []  # working row -> packages in the drain
+        prev_times: list[float | None] = []
+        unjudged: list[int] = []  # first rows of streams with no prediction
+        for tick in ticks:
+            for stream_id, package in tick.items():
+                slot = slots.get(stream_id)
+                if slot is None:
+                    raise KeyError(f"no attached stream with id {stream_id}")
+                row = working.get(slot)
+                if row is None:
+                    row = working[slot] = len(times)
+                    times.append(self._prev_times[slot])
+                    counts.append(0)
+                    if not had[slot]:
+                        unjudged.append(len(packages))
+                rows.append(row)
+                counts[row] += 1
+                prev_times.append(times[row])
+                times[row] = package.time
+                packages.append(package)
+            bounds.append(len(packages))
+        if not packages:
+            return [
+                (np.zeros(0, dtype=bool), np.zeros(0, dtype=np.int64))
+                for _ in bounds[1:]
+            ]
 
         detector = self._detector
-        prev_times = [self._prev_times[slot] for slot in slots]
-        codes = detector.discretizer.transform_batch(batch, prev_times)
-        for slot, package in zip(slots, batch):
-            self._prev_times[slot] = package.time
-
+        timeseries = detector.timeseries
+        codes = detector.discretizer.transform_batch(packages, prev_times)
         # Level 1: signature membership, and the vocabulary ids level 2
         # needs, from one table lookup per code vector.
         flagged, ids = detector.package_detector.resolve_batch(codes)
+        onehot = timeseries.encoder.encode_sequence(codes)
 
-        # Level 2: one batched LSTM step; Bloom-flagged rows skip the
-        # top-k check but still feed the recurrent history with the
-        # noise bit set (Fig. 3 data path, batched).  A partial tick
-        # steps only its rows and writes them back in place.
-        state = self._state.select(slots) if partial else self._state
-        verdicts, new_state = detector.timeseries.observe_batch(
-            codes, state, forced_anomalous=flagged, signature_ids=ids
+        # The touched streams' rows.  When the drain touches every
+        # stream in slot order they are the engine's own arrays, copied
+        # before any write in place.
+        touched = list(working)
+        everyone = len(touched) == self.num_streams and touched == list(
+            range(self.num_streams)
         )
-        if partial:
-            self._state.set_rows(slots, new_state)
-        else:
-            self._state = new_state
+        state = self._state if everyone else self._state.select(touched)
+        states, probs = state.lstm_states, state.last_probs
+        owned = not everyone
 
+        # Flagged rows and out-of-vocabulary rows are anomalous, and the
+        # rest take the top-k check on their stream's previous
+        # prediction, which only the tick before can give.  A stream's
+        # first package, with no prediction before it, is not judged.
+        verdicts = flagged | (ids < 0)
+        check = ~verdicts
+        if unjudged:
+            verdicts[unjudged] = flagged[unjudged]
+            check[unjudged] = False
+        checked = check.tolist()
+
+        in_order = list(range(len(touched)))
+        model, k = timeseries.model, timeseries.k
+        ticked = 0
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo == hi:
+                continue
+            ticked += 1
+            at = rows[lo:hi]
+            partial = at != in_order
+            if partial:
+                tick_states = [layer.select(at) for layer in states]
+                tick_probs = probs[at]
+            else:
+                tick_states, tick_probs = states, probs
+            tick_checked = checked[lo:hi]
+            if all(tick_checked):
+                sets = top_k_sets(tick_probs, k)
+                verdicts[lo:hi] = ~(sets == ids[lo:hi, None]).any(axis=1)
+            elif any(tick_checked):
+                mask = check[lo:hi]
+                sets = top_k_sets(tick_probs[mask], k)
+                verdicts[lo:hi][mask] = ~(sets == ids[lo:hi][mask, None]).any(axis=1)
+            # Bloom-flagged rows still feed the recurrent history, with
+            # the noise bit set (Fig. 3 data path).
+            inputs = onehot[lo:hi].astype(model.dtype)
+            inputs[:, -1] = verdicts[lo:hi]
+            new_probs, new_states = model.step(inputs, tick_states)
+            if not partial:
+                states, probs, owned = new_states, new_probs, True
+                continue
+            if not owned:
+                states = [layer.copy() for layer in states]
+                probs, owned = probs.copy(), True
+            for layer, new in zip(states, new_states):
+                layer.set_rows(at, new)
+            probs[at] = new_probs
+
+        stepped = BatchStreamState(
+            lstm_states=states,
+            last_probs=probs,
+            has_probs=np.ones(len(touched), dtype=bool),
+            packages_seen=state.packages_seen + counts,
+        )
+        if everyone:
+            self._state = stepped
+        else:
+            self._state.set_rows(touched, stepped)
+        for slot, latest in zip(touched, times):
+            self._prev_times[slot] = latest
         levels = np.where(
             flagged, LEVEL_PACKAGE, np.where(verdicts, LEVEL_TIMESERIES, LEVEL_NONE)
         )
         alerts = int(np.count_nonzero(verdicts))
         package_level = int(np.count_nonzero(flagged))
         stats = self._stats
-        stats.ticks += 1
-        stats.packages += len(batch)
+        stats.ticks += ticked
+        stats.packages += len(packages)
         stats.alerts += alerts
         stats.package_level += package_level
         # Flagged rows are always anomalous, so the rest are level 2.
         stats.timeseries_level += alerts - package_level
-        return verdicts, levels
+        return [
+            (verdicts[lo:hi], levels[lo:hi]) for lo, hi in zip(bounds, bounds[1:])
+        ]

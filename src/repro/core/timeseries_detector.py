@@ -549,68 +549,6 @@ class TimeSeriesDetector:
             packages_seen=np.zeros(batch_size, dtype=np.int64),
         )
 
-    def observe_batch(
-        self,
-        codes_batch: Sequence[CodeVector],
-        state: BatchStreamState,
-        forced_anomalous: np.ndarray | None = None,
-        *,
-        signature_ids: np.ndarray,
-    ) -> tuple[np.ndarray, BatchStreamState]:
-        """One batched tick: the next package of every monitored stream.
-
-        ``codes_batch[i]`` belongs to stream ``i`` (batch row ``i``) and
-        ``signature_ids[i]`` is its signature's vocabulary id, ``-1``
-        when out of vocabulary (the engine gets both verdict and id from
-        one :class:`~repro.core.signatures.SignatureTable` lookup).
-        Per-stream semantics match :meth:`observe` exactly — first
-        package passes, out-of-vocabulary signatures are anomalous,
-        otherwise the top-k membership check runs on the stream's
-        previous prediction — but the whole batch advances with a single
-        LSTM step.  ``forced_anomalous`` marks rows whose verdict the
-        combined framework already decided (Bloom-flagged packages):
-        they skip the top-k check and feed the noise bit as anomalous.
-        """
-        batch = state.batch_size
-        if len(codes_batch) != batch:
-            raise ValueError(
-                f"{len(codes_batch)} packages given for {batch} streams"
-            )
-        ids = np.asarray(signature_ids, dtype=np.int64)
-        if ids.shape != (batch,):
-            raise ValueError(
-                f"signature_ids must have shape ({batch},), got {ids.shape}"
-            )
-        if forced_anomalous is None:
-            forced_anomalous = np.zeros(batch, dtype=bool)
-        else:
-            forced_anomalous = np.asarray(forced_anomalous, dtype=bool)
-            if forced_anomalous.shape != (batch,):
-                raise ValueError(
-                    f"forced_anomalous must have shape ({batch},), got "
-                    f"{forced_anomalous.shape}"
-                )
-        if batch == 0:
-            return np.zeros(0, dtype=bool), state
-
-        # Forced rows and judged out-of-vocabulary rows are anomalous;
-        # the remaining judged rows take the top-k check.
-        verdicts = forced_anomalous | (state.has_probs & (ids < 0))
-        check = state.has_probs & ~verdicts
-        if check.any():
-            sets = top_k_sets(state.last_probs[check], self.k)
-            verdicts[check] = ~(sets == ids[check, None]).any(axis=1)
-
-        inputs = self.encoder.encode_sequence(codes_batch, verdicts)
-        probs, lstm_states = self.model.step(inputs, state.lstm_states)
-        new_state = BatchStreamState(
-            lstm_states=lstm_states,
-            last_probs=probs,
-            has_probs=np.ones(batch, dtype=bool),
-            packages_seen=state.packages_seen + 1,
-        )
-        return verdicts, new_state
-
     def classify_sequence(self, codes: Sequence[CodeVector]) -> np.ndarray:
         """Run streaming detection over a whole code sequence."""
         state = self.new_stream()

@@ -51,11 +51,15 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     """Stable softmax along ``axis``.
 
     Shifts by the max before exponentiation; output rows sum to one,
-    matching the paper's softmax activation layer definition.
+    matching the paper's softmax activation layer definition.  The
+    reductions are the array methods, the same ufunc reductions as
+    ``np.max`` and ``np.sum`` without their Python dispatch: a serving
+    step calls this once per tick.
     """
-    shifted = logits - np.max(logits, axis=axis, keepdims=True)
+    logits = np.asarray(logits)
+    shifted = logits - logits.max(axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    return exp / np.sum(exp, axis=axis, keepdims=True)
+    return exp / exp.sum(axis=axis, keepdims=True)
 
 
 def log_softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

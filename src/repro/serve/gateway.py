@@ -24,9 +24,11 @@ Architecture
   load exactly like the offline engine.  A drain splits into the
   successive ticks a stream's order needs (each stream at most once
   per tick) and hands all of them to the pool in **one call**, the
-  groups of every tick in tick order; the pool runs the groups in
-  order and a route may repeat, so a process-mode drain is one pipe
-  round trip however many ticks it holds.  Every verdict frame of the
+  groups of every tick in tick order; a route may repeat, and each
+  engine runs its groups as **one pass** (the seams without recurrence
+  once over the drain's rows, the LSTM steps tick by tick), so a
+  process-mode drain is one pipe round trip however many ticks it
+  holds.  Every verdict frame of the
   drain is then written, one write per session, before the historian,
   alert, monitor and tracer fan-out runs.
 - Backpressure is end-to-end: a full shard queue suspends that
@@ -256,17 +258,70 @@ class _Session:
             self.evicted = True
 
 
+def take_ticks(
+    pending: deque, budget: int | None, max_groups: int
+) -> tuple[list, list[int], deque]:
+    """Split queued packages into one drain's ticks; returns the rest.
+
+    One tick advances each stream by at most one package, so a
+    package's tick is the number of earlier packages of its stream in
+    ``pending``: surplus packages wait for later ticks, preserving
+    per-stream order.  A tick is grouped by engine — one batched LSTM
+    step per *model* — in the order its routes first appear, and
+    streams are keyed by engine row within their group, since ids are
+    only unique within one engine of the pool.  One pass over
+    ``pending`` builds every tick.
+
+    Returns every taken tick's ``(route, {stream_id: item})`` groups,
+    concatenated in tick order, each tick's row count, and the packages
+    of the ticks not taken, in queue order.  The drain stops after the
+    tick that spends ``budget`` rows (``None``: no limit), and before a
+    tick that would take it past ``max_groups`` groups.
+    """
+    ticks: list[dict[Route, dict[int, tuple]]] = []
+    sizes: list[int] = []
+    placed: list[int] = []  # the tick of each pending package
+    earlier: dict[tuple[Route, int], int] = {}
+    for item in pending:
+        route = item[0].route
+        key = route.route_key
+        tick = earlier.get((key, route.stream_id), 0)
+        earlier[(key, route.stream_id)] = tick + 1
+        if tick == len(ticks):
+            ticks.append({})
+            sizes.append(0)
+        ticks[tick].setdefault(key, {})[route.stream_id] = item
+        sizes[tick] += 1
+        placed.append(tick)
+    batches: list[tuple[Route, dict[int, tuple]]] = []
+    counts: list[int] = []
+    for groups, size in zip(ticks, sizes):
+        if batches and len(batches) + len(groups) > max_groups:
+            break
+        batches.extend(groups.items())
+        counts.append(size)
+        if budget is not None:
+            budget -= size
+            if budget <= 0:
+                break
+    taken = len(counts)
+    if taken == len(ticks):
+        return batches, counts, deque()
+    rest = deque(item for item, tick in zip(pending, placed) if tick >= taken)
+    return batches, counts, rest
+
+
 class _Shard:
     """One engine pool plus the worker that batches its streams' packages.
 
     The worker drains its queue in *drains*: the packages waiting at one
     moment, split into the ticks the engine runs one after another
-    (:meth:`_build_tick`).  All ticks of a drain go to the pool in one
+    (:func:`take_ticks`).  All ticks of a drain go to the pool in one
     ``observe`` call, every tick's groups concatenated in tick order; a
-    route label may repeat, and the pool runs the groups in order, so
-    the engine steps through exactly the ticks it would run one call at
-    a time.  A drain ends early at the tick where a periodic checkpoint
-    falls due and at the OBSERVE frame's group limit.
+    route label may repeat, and each engine runs its groups as one pass
+    in order, so it steps through exactly the ticks it would run one
+    call at a time.  A drain ends early at the tick where a periodic
+    checkpoint falls due and at the OBSERVE frame's group limit.
     """
 
     def __init__(self, gateway: "DetectionGateway", index: int,
@@ -309,30 +364,6 @@ class _Shard:
         #: contended.
         self.lock = asyncio.Lock()
 
-    @staticmethod
-    def _build_tick(pending: deque) -> tuple[dict, int, deque]:
-        """Pick one package per stream for this tick; surplus waits.
-
-        One tick advances each stream by at most one package; extra
-        packages of the same stream wait for the next tick, preserving
-        per-stream order.  The tick is grouped by engine — one batched
-        LSTM step per *model* — and streams are keyed by engine row
-        within their group, since ids are only unique within one
-        engine of the pool.
-        """
-        groups: dict[Route, dict[int, tuple]] = {}
-        leftover: deque = deque()
-        count = 0
-        for item in pending:
-            route = item[0].route
-            by_stream = groups.setdefault(route.route_key, {})
-            if route.stream_id in by_stream:
-                leftover.append(item)
-            else:
-                by_stream[route.stream_id] = item
-                count += 1
-        return groups, count, leftover
-
     async def run(self) -> None:
         """Take what the queue holds, drain it, repeat forever."""
         while True:
@@ -347,32 +378,14 @@ class _Shard:
                 pending = await self._drain(pending)
 
     def _take_ticks(self, pending: deque) -> tuple[list, list[int], deque]:
-        """Split ``pending`` into this drain's ticks; returns the rest.
-
-        Returns every tick's ``(route, {stream_id: item})`` groups,
-        concatenated in tick order, and each tick's row count.  The
-        drain stops after the tick that makes a periodic checkpoint due,
-        so checkpoints land on the package counts of a shard that runs
-        one tick per call, and before a tick that would pass the OBSERVE
-        frame's group limit.
-        """
+        """This drain's ticks of ``pending`` (:func:`take_ticks`), cut at
+        the tick that makes a periodic checkpoint due, so checkpoints
+        land on the package counts of a shard that runs one tick per
+        call, and at the OBSERVE frame's group limit."""
         gateway = self.gateway
         every = gateway.config.checkpoint_every
         budget = every - gateway._since_checkpoint if every else None
-        batches: list[tuple[Route, dict[int, tuple]]] = []
-        counts: list[int] = []
-        while pending:
-            groups, count, rest = self._build_tick(pending)
-            if batches and len(batches) + len(groups) > OBSERVE_MAX_GROUPS:
-                break
-            batches.extend(groups.items())
-            counts.append(count)
-            pending = rest
-            if budget is not None:
-                budget -= count
-                if budget <= 0:
-                    break
-        return batches, counts, pending
+        return take_ticks(pending, budget, OBSERVE_MAX_GROUPS)
 
     async def _drain(self, pending: deque) -> deque:
         """Run the next drain of ``pending`` in one pool call."""

@@ -8,7 +8,7 @@ backend:
 
 - ``worker_mode="thread"``: the shard awaits its :class:`EnginePool`
   directly on the event loop.  The pool's ops are coroutines that never
-  suspend, so a tick, swap or snapshot has finished before its
+  suspend, so a drain, swap or snapshot has finished before its
   ``await`` returns and never yields to another task.
 - ``worker_mode="process"``: :func:`_worker_main` runs the same
   :class:`EnginePool` in a worker process behind a byte codec
@@ -17,6 +17,13 @@ backend:
   worker process computes on its own core, at the price of one pipe
   round trip per op.  A gateway shard sends every tick of one queue
   drain in a single OBSERVE, so it pays one round trip per drain.
+
+Either way the pool runs a drain as **one engine pass per engine**
+(:meth:`~repro.core.stream_engine.StreamEngine.observe_ticks`): it
+regroups the drain's ``(route, {stream_id: package})`` groups by route,
+each engine takes its groups as successive ticks, and the results come
+back in group order.  A traced drain splits each pass's seconds over
+its groups by rows.
 
 The channel is **pickle-free** and carries two frame shapes:
 
@@ -137,20 +144,34 @@ class EnginePool:
         groups: "list[tuple[Route, dict[int, Package]]]",
         traced: bool = False,
     ) -> tuple[list, "list[dict[str, float]] | None"]:
-        """One batched step per ``(route, {stream_id: package})`` group.
+        """Run ``(route, {stream_id: package})`` groups, one pass per engine.
 
-        The groups run one after another in list order, and a route may
-        repeat: a later group of the same route steps that engine again,
-        so several ticks ride one call.  Returns each group's
-        ``(verdicts, levels)`` and, when ``traced``, each group's trace
-        stages: ``{"tick": engine seconds}``.
+        The groups are successive ticks in list order, and a route may
+        repeat: a later group of the same route is that engine's next
+        tick.  Each engine runs its groups as one
+        :meth:`~repro.core.stream_engine.StreamEngine.observe_ticks`
+        pass; engines share no state, so only the order within a route
+        matters.  Returns each group's ``(verdicts, levels)`` in group
+        order and, when ``traced``, each group's trace stages:
+        ``{"tick": seconds}``, its engine's pass split over the pass's
+        groups by rows.
         """
-        results, stages = [], [] if traced else None
-        for route, batch in groups:
+        passes: "dict[Route, list[int]]" = {}
+        for index, (route, _) in enumerate(groups):
+            passes.setdefault(route, []).append(index)
+        engines = {route: self.engines[route] for route in passes}
+        results: list = [None] * len(groups)
+        stages: list | None = [None] * len(groups) if traced else None
+        for route, indices in passes.items():
             started = perf_counter() if traced else 0.0
-            results.append(self.engines[route].observe_batch(batch))
+            answers = engines[route].observe_ticks([groups[i][1] for i in indices])
+            for index, answer in zip(indices, answers):
+                results[index] = answer
             if stages is not None:
-                stages.append({"tick": perf_counter() - started})
+                seconds = perf_counter() - started
+                rows = sum(len(groups[i][1]) for i in indices) or 1
+                for index in indices:
+                    stages[index] = {"tick": seconds * len(groups[index][1]) / rows}
         return results, stages
 
     async def attach(self, route: Route) -> int:
@@ -308,10 +329,10 @@ def encode_observe(groups: "list[tuple[str, list[tuple[int, bytes]]]]") -> bytes
 def decode_verdicts(
     resp: bytes, count: int
 ) -> tuple[list[tuple[bool, int]], list[float]]:
-    """Per-row ``(verdict, level)`` pairs in request order, plus the
-    worker-side seconds each engine group spent in ``observe_batch`` —
-    the tracing plane subtracts these from the pipe round-trip to
-    attribute worker compute separately from IPC."""
+    """Per-row ``(verdict, level)`` pairs in request order, plus each
+    engine group's worker-side seconds, its rows' share of its engine's
+    pass — the tracing plane subtracts these from the pipe round-trip
+    to attribute worker compute separately from IPC."""
     body = _body(resp, OP_OBSERVE.lower())
     rows_end = 2 * count
     if len(body) < rows_end + _U16.size:

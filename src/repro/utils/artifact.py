@@ -117,9 +117,14 @@ def _pack(
     state: dict[str, Any],
     kind: str,
     meta: dict[str, Any] | None,
-    compress: bool,
 ) -> None:
-    """Write ``state`` as one container to the open binary ``handle``."""
+    """Write ``state`` as one container to the open binary ``handle``.
+
+    Members are stored uncompressed: float weights and recurrent state
+    deflate by a tenth to a third at most, and inflating them would
+    cost every load more than the bytes save.  :func:`np.load` reads
+    deflated members too, so containers written compressed still load.
+    """
     arrays: dict[str, np.ndarray] = {}
     tree = _flatten(state, "", arrays)
     header = {
@@ -130,8 +135,7 @@ def _pack(
         "state": tree,
     }
     encoded = np.frombuffer(json.dumps(header).encode("utf-8"), dtype=np.uint8)
-    save = np.savez_compressed if compress else np.savez
-    save(handle, **{HEADER_KEY: encoded}, **arrays)
+    np.savez(handle, **{HEADER_KEY: encoded}, **arrays)
 
 
 def save_artifact(
@@ -151,7 +155,7 @@ def save_artifact(
     # paths missing the suffix, breaking exact-name callers (atomic
     # rename via a temp file, CLI-given paths).
     with open(path, "wb") as handle:
-        _pack(handle, state, kind, meta, compress=True)
+        _pack(handle, state, kind, meta)
 
 
 def state_to_bytes(state: dict[str, Any], kind: str = "state-blob") -> bytes:
@@ -162,10 +166,7 @@ def state_to_bytes(state: dict[str, Any], kind: str = "state-blob") -> bytes:
     Round-trips bit-exactly through :func:`state_from_bytes`.
     """
     buffer = io.BytesIO()
-    # Uncompressed: these blobs cross a pipe once and are discarded;
-    # recurrent state and weights (float32 or float64 mantissas)
-    # compress poorly anyway.
-    _pack(buffer, state, kind, None, compress=False)
+    _pack(buffer, state, kind, None)
     return buffer.getvalue()
 
 

@@ -14,6 +14,8 @@ serves and resumes in float64.
 
 from __future__ import annotations
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,50 @@ class TestArtifactContainer:
             load_artifact(path, kind="test")
         with pytest.raises(ArtifactError, match="schema version"):
             state_from_bytes(blob, kind="test")
+
+    def test_members_are_stored_uncompressed(self, tmp_path):
+        path = tmp_path / "artifact.npz"
+        save_artifact({"x": np.zeros(64)}, path, kind="test")
+        with zipfile.ZipFile(path) as archive:
+            kinds = {info.compress_type for info in archive.infolist()}
+        assert kinds == {zipfile.ZIP_STORED}
+
+    def test_compressed_detector_and_checkpoint_still_load(
+        self, dataset, detector, tmp_path
+    ):
+        """Containers written with deflated members, as every artifact
+        and checkpoint was before members were stored, load to the same
+        state and serve the same verdicts."""
+        engine = detector.engine(1)
+        for package in dataset.test_packages[:20]:
+            engine.observe_batch([package])
+        stored = {"detector": tmp_path / "detector.npz", "engine": tmp_path / "ckpt.npz"}
+        save_detector(detector, stored["detector"])
+        save_checkpoint(engine, stored["engine"], meta={"offset": 20})
+        deflated = {}
+        for name, path in stored.items():
+            deflated[name] = tmp_path / f"deflated-{path.name}"
+            with np.load(path) as archive:
+                members = {key: archive[key] for key in archive.files}
+            np.savez_compressed(deflated[name], **members)
+            with zipfile.ZipFile(deflated[name]) as archive:
+                kinds = {info.compress_type for info in archive.infolist()}
+            assert kinds == {zipfile.ZIP_DEFLATED}
+        assert checkpoint_meta(deflated["engine"]) == {"offset": 20}
+        restored = load_detector(deflated["detector"])
+        want = detector.detect(dataset.test_packages)
+        got = restored.detect(dataset.test_packages)
+        np.testing.assert_array_equal(got.is_anomaly, want.is_anomaly)
+        np.testing.assert_array_equal(got.level, want.level)
+        resumed = load_checkpoint(deflated["engine"])
+        for package in dataset.test_packages[20:60]:
+            np.testing.assert_array_equal(
+                resumed.observe_batch([package])[0],
+                engine.observe_batch([package])[0],
+            )
+        assert resumed.state_dict()["streams"]["lstm"]["layer0"]["h"].tobytes() == (
+            engine.state_dict()["streams"]["lstm"]["layer0"]["h"].tobytes()
+        )
 
     def test_in_memory_container_makes_the_file_checks(self, tmp_path):
         state = {"x": np.arange(3), "nested": {"flag": True}}

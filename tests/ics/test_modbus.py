@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ics import modbus
@@ -25,10 +25,32 @@ from repro.ics.modbus import (
 )
 
 
+def crc16_modbus_bitwise(data: bytes) -> int:
+    """Reference CRC-16/MODBUS: eight shift-and-xor steps per byte."""
+    crc = 0xFFFF
+    for byte in data:
+        crc ^= byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xA001 if crc & 1 else crc >> 1
+    return crc
+
+
 class TestCrc16:
     def test_known_vector(self):
         # Canonical CRC-16/MODBUS check value for "123456789".
         assert crc16_modbus(b"123456789") == 0x4B37
+        assert crc16_modbus_bitwise(b"123456789") == 0x4B37
+
+    @settings(max_examples=500)
+    @given(st.binary(max_size=300))
+    def test_table_matches_bit_loop(self, data):
+        assert crc16_modbus(data) == crc16_modbus_bitwise(data)
+
+    def test_table_matches_bit_loop_on_every_byte(self):
+        for value in range(256):
+            for prefix in (b"", b"\x00", b"\xff\x01"):
+                data = prefix + bytes([value])
+                assert crc16_modbus(data) == crc16_modbus_bitwise(data)
 
     def test_empty(self):
         assert crc16_modbus(b"") == 0xFFFF
