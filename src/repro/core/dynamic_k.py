@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nn.losses import score_ranks
+
 
 @dataclass(frozen=True)
 class DynamicKConfig:
@@ -92,9 +94,11 @@ class DynamicKPolicy:
         return self._k
 
 
-def rank_of(probs: np.ndarray, target_id: int) -> int:
-    """0-based rank of ``target_id`` under a probability vector."""
-    if not 0 <= target_id < probs.shape[-1]:
+def rank_of(scores: np.ndarray, target_id: int) -> int:
+    """0-based rank of ``target_id`` under one score vector (logits or
+    probabilities): how many signatures score strictly higher, the count
+    ``F_t``'s top-k rule compares with ``k`` (:func:`score_ranks`)."""
+    scores = np.asarray(scores)
+    if not 0 <= target_id < scores.shape[-1]:
         raise ValueError(f"target_id {target_id} out of range")
-    order = np.argsort(-probs)
-    return int(np.where(order == target_id)[0][0])
+    return int(score_ranks(scores, target_id))

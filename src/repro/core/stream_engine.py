@@ -17,6 +17,9 @@ and the vocabulary id, the one-hot rows, and selecting the touched
 streams' state rows and scattering them back.  Only the recurrent part
 runs tick by tick: the top-k check on each stream's previous
 prediction, the noise bit, and one ``model.step`` on the tick's rows.
+The top-k check ranks the observed signature under the previous step's
+logits (:func:`~repro.nn.losses.top_k_hits`: fewer than ``k``
+signatures may score strictly higher), so no softmax is taken.
 Every tick's LSTM, dense and top-k operands keep the shapes and values
 they have when the tick runs alone, so a pass is bit-identical to its
 ticks run one call at a time; :meth:`StreamEngine.observe_batch` is a
@@ -24,13 +27,13 @@ one-tick pass.
 
 Streams attach and detach dynamically: attaching pads the batch with a
 fresh zero state, detaching compacts the departed row out of every
-array.  The recurrent states and predictions are kept in the dtype of
-the detector's network weights (float32 for a freshly trained
-detector) from creation through checkpoint and resume, so every step
-multiplies like dtypes.  A 1-stream engine is bit-identical to the
-paper's Fig.-3 data path — :class:`~repro.core.combined.StreamMonitor`
-and offline :meth:`~repro.core.combined.CombinedDetector.detect` run
-exactly that.
+array.  The recurrent states and predictions (logits, kept in the
+state's ``last_probs`` field) are kept in the dtype of the detector's
+network weights (float32 for a freshly trained detector) from creation
+through checkpoint and resume, so every step multiplies like dtypes.
+A 1-stream engine is bit-identical to the paper's Fig.-3 data path —
+:class:`~repro.core.combined.StreamMonitor` and offline
+:meth:`~repro.core.combined.CombinedDetector.detect` run exactly that.
 """
 
 from __future__ import annotations
@@ -42,9 +45,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.timeseries_detector import BatchStreamState, StreamState
+from repro.core.timeseries_detector import BatchStreamState, StreamState, state_array
 from repro.ics.features import Package
-from repro.nn.losses import top_k_sets
+from repro.nn.losses import top_k_hits
 from repro.nn.network import StackedLSTMClassifier
 from repro.utils.artifact import ArtifactError
 
@@ -222,14 +225,16 @@ class StreamEngine:
         weights, whatever dtype the checkpoint holds it in.
         """
         engine = cls(detector)
-        stream_ids = [int(i) for i in np.asarray(state["stream_ids"])]
+        stream_ids = state_array(
+            state["stream_ids"], np.int64, 1, "stream_ids"
+        ).tolist()
         if len(set(stream_ids)) != len(stream_ids):
             raise ArtifactError("engine state has duplicate stream ids")
         next_id = int(state["next_id"])
         if any(i >= next_id for i in stream_ids):
             raise ArtifactError("engine state next_id conflicts with stream ids")
-        prev_times = np.asarray(state["prev_times"], dtype=np.float64)
-        prev_known = np.asarray(state["prev_known"], dtype=bool)
+        prev_times = state_array(state["prev_times"], np.float64, 1, "prev_times")
+        prev_known = state_array(state["prev_known"], bool, 1, "prev_known")
         batch_state = BatchStreamState.from_state(
             state["streams"], detector.timeseries.model.dtype
         )
@@ -341,11 +346,12 @@ class StreamEngine:
         the signature-table lookup for the Bloom verdict and vocabulary
         id, the one-hot rows, and selecting the touched streams' state
         rows and scattering them back.  Tick by tick run the top-k check
-        on each stream's previous prediction, the noise bit, and one
-        ``model.step`` on a fresh C-contiguous input of the tick's own
-        shape, its state rows in the tick's order.  Bloom-flagged rows
-        skip the top-k check but still feed the recurrent history with
-        the noise bit set; a stream's first package passes.
+        (:func:`~repro.nn.losses.top_k_hits` on each stream's previous
+        logits), the noise bit, and one ``model.step`` on a fresh
+        C-contiguous input of the tick's own shape, its state rows in the
+        tick's order.  Bloom-flagged rows skip the top-k check but still
+        feed the recurrent history with the noise bit set; a stream's
+        first package passes.
 
         Exactness contract: every tick's LSTM, dense and top-k operands
         have the shapes and values they have when the tick runs alone,
@@ -406,7 +412,7 @@ class StreamEngine:
             range(self.num_streams)
         )
         state = self._state if everyone else self._state.select(touched)
-        states, probs = state.lstm_states, state.last_probs
+        states, scores = state.lstm_states, state.last_probs
         owned = not everyone
 
         # Flagged rows and out-of-vocabulary rows are anomalous, and the
@@ -419,6 +425,7 @@ class StreamEngine:
             verdicts[unjudged] = flagged[unjudged]
             check[unjudged] = False
         checked = check.tolist()
+        id_list = ids.tolist()
 
         in_order = list(range(len(touched)))
         model, k = timeseries.model, timeseries.k
@@ -429,37 +436,33 @@ class StreamEngine:
             ticked += 1
             at = rows[lo:hi]
             partial = at != in_order
-            if partial:
-                tick_states = [layer.select(at) for layer in states]
-                tick_probs = probs[at]
-            else:
-                tick_states, tick_probs = states, probs
-            tick_checked = checked[lo:hi]
-            if all(tick_checked):
-                sets = top_k_sets(tick_probs, k)
-                verdicts[lo:hi] = ~(sets == ids[lo:hi, None]).any(axis=1)
-            elif any(tick_checked):
-                mask = check[lo:hi]
-                sets = top_k_sets(tick_probs[mask], k)
-                verdicts[lo:hi][mask] = ~(sets == ids[lo:hi][mask, None]).any(axis=1)
+            # The top-k check ranks the previous step's logits; a row
+            # the check does not judge keeps its verdict.
+            if hi - lo == 1:
+                if checked[lo]:
+                    verdicts[lo] = not top_k_hits(scores[at[0]], id_list[lo], k)
+            elif any(checked[lo:hi]):
+                hits = top_k_hits(scores[at] if partial else scores, ids[lo:hi], k)
+                verdicts[lo:hi] |= check[lo:hi] & ~hits
+            tick_states = [layer.select(at) for layer in states] if partial else states
             # Bloom-flagged rows still feed the recurrent history, with
             # the noise bit set (Fig. 3 data path).
             inputs = onehot[lo:hi].astype(model.dtype)
             inputs[:, -1] = verdicts[lo:hi]
-            new_probs, new_states = model.step(inputs, tick_states)
+            new_scores, new_states = model.step(inputs, tick_states)
             if not partial:
-                states, probs, owned = new_states, new_probs, True
+                states, scores, owned = new_states, new_scores, True
                 continue
             if not owned:
                 states = [layer.copy() for layer in states]
-                probs, owned = probs.copy(), True
+                scores, owned = scores.copy(), True
             for layer, new in zip(states, new_states):
                 layer.set_rows(at, new)
-            probs[at] = new_probs
+            scores[at] = new_scores
 
         stepped = BatchStreamState(
             lstm_states=states,
-            last_probs=probs,
+            last_probs=scores,
             has_probs=np.ones(len(touched), dtype=bool),
             packages_seen=state.packages_seen + counts,
         )

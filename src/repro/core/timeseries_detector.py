@@ -2,7 +2,10 @@
 
 A stacked LSTM softmax classifier predicts the distribution over the
 next package's signature given the discretized history.  A package whose
-signature is not among the top-``k`` predicted signatures is flagged.
+signature is not among the top-``k`` predicted signatures is flagged:
+fewer than ``k`` signatures may score strictly higher than it
+(:func:`~repro.nn.losses.top_k_hits`), which serving decides on the
+output layer's logits without a softmax.
 Training can inject probabilistic noise (Section V-3) so the model stays
 robust when anomalies contaminate its input history; inputs carry an
 extra indicator bit that is 1 on noised training packages and, at
@@ -18,7 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.signatures import SignatureVocabulary, signature_of
-from repro.nn.losses import top_k_sets
+from repro.nn.losses import top_k_hits
 from repro.nn.lstm import LSTMState
 from repro.nn.network import NetworkConfig, StackedLSTMClassifier, TrainingHistory
 from repro.nn.optimizers import Adam
@@ -57,7 +60,12 @@ class TimeSeriesDetectorConfig:
 
 @dataclass
 class StreamState:
-    """Recurrent context of one monitored package stream."""
+    """Recurrent context of one monitored package stream.
+
+    ``last_probs`` holds the scores the next package is ranked by: the
+    last step's logits, or probabilities in a snapshot written before
+    serving stopped taking the softmax (they rank alike).
+    """
 
     lstm_states: list[LSTMState]
     last_probs: np.ndarray | None = None
@@ -85,6 +93,17 @@ class StreamState:
             ),
             packages_seen=int(state["packages_seen"]),
         )
+
+
+def state_array(value: Any, dtype: Any, ndim: int, name: str) -> np.ndarray:
+    """A copy of one stored state array in ``dtype``, refused with an
+    :class:`ArtifactError` unless it has ``ndim`` dimensions."""
+    array = np.array(value, dtype=dtype)
+    if array.ndim != ndim:
+        raise ArtifactError(
+            f"stored {name} has shape {array.shape}; expected {ndim} dimension(s)"
+        )
+    return array
 
 
 def _lstm_states_to_state(states: Sequence[LSTMState]) -> dict[str, Any]:
@@ -118,7 +137,11 @@ class BatchStreamState:
     ``lstm_states`` holds one ``(N, H)`` :class:`LSTMState` per stacked
     layer; ``last_probs`` is ``(N, |S|)`` and only rows with
     ``has_probs`` set carry a valid prediction (a stream that has not
-    observed a package yet has no history to predict from).
+    observed a package yet has no history to predict from).  A
+    prediction is the last step's logits, bitwise what a softmax would
+    be taken of; checkpoints written before serving stopped taking it
+    hold probabilities, which the top-k rule ranks the same way up to
+    rounding ties.
     """
 
     lstm_states: list[LSTMState]
@@ -216,9 +239,11 @@ class BatchStreamState:
         lstm_states = _lstm_states_from_state(state["lstm"], dtype)
         restored = cls(
             lstm_states=lstm_states,
-            last_probs=np.array(state["last_probs"], dtype=dtype),
-            has_probs=np.array(state["has_probs"], dtype=bool),
-            packages_seen=np.array(state["packages_seen"], dtype=np.int64),
+            last_probs=state_array(state["last_probs"], dtype, 2, "last_probs"),
+            has_probs=state_array(state["has_probs"], bool, 1, "has_probs"),
+            packages_seen=state_array(
+                state["packages_seen"], np.int64, 1, "packages_seen"
+            ),
         )
         batch = restored.batch_size
         rows = {restored.last_probs.shape[0], restored.has_probs.shape[0]}
@@ -465,8 +490,10 @@ class TimeSeriesDetector:
     ) -> dict[int, float]:
         """``err_k`` for every ``k`` over clean fragments.
 
+        Membership is ``F_t``'s own rule (:func:`top_k_hits`), so the
+        ``k`` chosen from this curve is judged as it will be served.
         Signatures absent from the vocabulary can never be in the top-k
-        set, so they count as misses — matching ``F_t`` behaviour.
+        set, so they count as misses.
         """
         if any(k < 1 for k in ks):
             raise ValueError("all ks must be >= 1")
@@ -489,9 +516,7 @@ class TimeSeriesDetector:
             )
             total += len(target_ids)
             for k in ks:
-                sets = top_k_sets(probs, k)
-                hits = (sets == target_ids[:, None]).any(axis=1)
-                misses[k] += int((~hits).sum())
+                misses[k] += int((~top_k_hits(probs, target_ids, k)).sum())
         if total == 0:
             return {k: 0.0 for k in ks}
         return {k: misses[k] / total for k in ks}
@@ -525,15 +550,14 @@ class TimeSeriesDetector:
                 if identifier is None:
                     verdict = True
                 else:
-                    top = top_k_sets(state.last_probs[None, :], self.k)[0]
-                    verdict = identifier not in top
+                    verdict = not top_k_hits(state.last_probs, identifier, self.k)
         else:
             verdict = forced_verdict
         x = self.encoder.encode_one(codes, noise_flag=verdict)
-        probs, lstm_states = self.model.step(x, state.lstm_states)
+        logits, lstm_states = self.model.step(x, state.lstm_states)
         return verdict, StreamState(
             lstm_states=lstm_states,
-            last_probs=probs,
+            last_probs=logits,
             packages_seen=state.packages_seen + 1,
         )
 

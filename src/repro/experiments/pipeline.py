@@ -271,8 +271,11 @@ def clear_pipeline_cache(disk: bool = False) -> None:
 
 def _run_cached(profile_name: str, seed: int) -> PipelineResult:
     key = (profile_name, seed)
-    cached = _MEMORY_CACHE.get(key)
+    cached = _MEMORY_CACHE.pop(key, None)
     if cached is not None:
+        # A hit moves to the back, so eviction drops the least recently
+        # used entry, as ``lru_cache`` did.
+        _MEMORY_CACHE[key] = cached
         return cached
     profile = get_profile(profile_name).with_seed(seed)
     result = None

@@ -8,6 +8,12 @@ parameter ``k`` from the *top-k error*
 
 on a clean validation set (Section V.2).  Lapin et al. [49] show softmax
 loss is top-k calibrated, which is why one loss serves every ``k``.
+
+Membership in ``S^(k)`` has one rule, :func:`top_k_hits`, for every
+``k`` decision: ``err_k`` while choosing ``k`` and ``F_t`` while
+serving.  It counts the classes that score strictly higher than the
+observed one, so it ranks logits as it ranks probabilities and needs no
+softmax.
 """
 
 from __future__ import annotations
@@ -72,7 +78,9 @@ def top_k_sets(probs: np.ndarray, k: int) -> np.ndarray:
     """Indices of the ``k`` most probable classes per row.
 
     Returns an ``(N, k)`` integer array; within a row the ordering of the
-    indices is unspecified (membership is all that matters for ``F_t``).
+    indices is unspecified, and which of several tied classes it holds
+    is up to the partition.  Membership decisions go through
+    :func:`top_k_hits`, whose tie rule is stated.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -84,10 +92,46 @@ def top_k_sets(probs: np.ndarray, k: int) -> np.ndarray:
     return probs.argpartition(num_classes - k, axis=-1)[..., num_classes - k :]
 
 
-def top_k_hits(probs: np.ndarray, targets: np.ndarray, k: int) -> np.ndarray:
-    """Boolean vector: does each target fall in its row's top-k set?"""
-    sets = top_k_sets(probs, k)
-    return (sets == np.asarray(targets)[..., None]).any(axis=-1)
+def score_ranks(scores: np.ndarray, targets: np.ndarray | int) -> np.ndarray | int:
+    """0-based rank of each target: how many classes score strictly higher.
+
+    Tied classes share the better place, so the rank depends only on the
+    scores, never on a sort.  ``scores`` is one ``(C,)`` row with an
+    integer target (the rank is an ``int``) or ``(N, C)`` with ``(N,)``
+    targets (an ``(N,)`` array).  Every target must index a class.
+    """
+    if scores.ndim == 1:
+        return int(np.count_nonzero(scores > scores[targets]))
+    picked = scores[np.arange(len(targets)), targets]
+    return (scores > picked[:, None]).sum(axis=1)
+
+
+def top_k_hits(
+    scores: np.ndarray, targets: np.ndarray | int, k: int
+) -> np.ndarray | bool:
+    """``F_t``'s membership rule: is each target among its row's top ``k``?
+
+    A target is predicted iff fewer than ``k`` classes score strictly
+    higher than it (:func:`score_ranks` below ``k``).  So a target tied
+    at the ``k``-th place is predicted, with ``k >= C`` every class is,
+    and a target outside ``[0, C)`` (``-1`` marks a signature outside
+    the vocabulary) never is.  The rule reads only the order of the
+    scores, so logits and their softmax decide alike wherever the
+    softmax rounds no two scores together.
+
+    ``scores`` is one ``(C,)`` row with an integer target (the answer is
+    a ``bool``) or ``(N, C)`` with ``(N,)`` targets (an ``(N,)`` bool
+    array).
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    scores = np.asarray(scores)
+    num_classes = scores.shape[-1]
+    if scores.ndim == 1:
+        return bool(0 <= targets < num_classes) and score_ranks(scores, targets) < k
+    targets = np.asarray(targets)
+    known = (targets >= 0) & (targets < num_classes)
+    return known & (score_ranks(scores, np.where(known, targets, 0)) < k)
 
 
 def top_k_error(

@@ -80,7 +80,7 @@ class StackedLSTMClassifier:
     - :meth:`predict_proba` — ``Pr(s | c(t-1), c(t-2), ...)`` for every
       position of a fragment,
     - :meth:`init_state` / :meth:`step` — online, package-at-a-time
-      prediction for streaming detection,
+      logits for streaming detection,
     - :meth:`top_k_validation_error` — the ``err_k`` curve used to pick
       ``k`` (paper Section V.2).
     """
@@ -365,10 +365,12 @@ class StackedLSTMClassifier:
     def step(
         self, x_t: np.ndarray, states: list[LSTMState]
     ) -> tuple[np.ndarray, list[LSTMState]]:
-        """Feed one package vector ``(D,)`` or ``(B, D)``; returns probs.
+        """Feed one package vector ``(D,)`` or ``(B, D)``; returns logits.
 
-        The returned distribution predicts the *next* package's signature
-        given everything fed so far, exactly as consumed by ``F_t``.
+        The output layer's logits score the *next* package's signature
+        given everything fed so far.  ``F_t`` only ranks them
+        (:func:`~repro.nn.losses.top_k_hits`), so no softmax is taken;
+        a row's softmax matches :meth:`predict_proba` at that position.
         Inputs are cast to the weights' dtype, and ``states`` must hold
         it (as :meth:`init_state` makes them).
         """
@@ -382,8 +384,7 @@ class StackedLSTMClassifier:
             hidden, new_state = layer.step(hidden, state)
             new_states.append(new_state)
         logits = self.output_layer.forward(hidden, keep_cache=False)
-        probs = softmax(logits, axis=-1)
-        return (probs[0] if squeeze else probs), new_states
+        return (logits[0] if squeeze else logits), new_states
 
     def top_k_validation_error(self, fragments: Sequence[Fragment], k: int) -> float:
         """``err_k`` over every prediction in clean fragments."""

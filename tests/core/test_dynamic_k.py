@@ -76,3 +76,11 @@ class TestRankOf:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             rank_of(np.array([1.0]), 5)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_tied_scores_share_the_better_rank(self, dtype):
+        """The strictly-higher count, whatever order a sort would give."""
+        probs = np.array([0.3, 0.4, 0.3, 0.0], dtype)
+        assert [rank_of(probs, t) for t in range(4)] == [1, 0, 1, 3]
+        logits = np.log(np.array([0.3, 0.4, 0.3, 1e-9], dtype))
+        assert [rank_of(logits, t) for t in range(4)] == [1, 0, 1, 3]

@@ -7,7 +7,8 @@ over the ``i | f | o`` gates, and partial ticks written back in place.
 Offline ``detect()`` runs the same engine, so comparing the two cannot
 catch a numeric drift.  This module keeps the reference path — columnar
 ``transform_columns``, ``signature_of`` + ``BloomFilter.__contains__`` +
-``vocabulary.id_of``, the masked piecewise sigmoid — and demands that
+``vocabulary.id_of``, the masked piecewise sigmoid, the top-k rule
+counted one score at a time on the stored logits — and demands that
 every verdict, level and recurrent-state byte be identical.  The
 reference computes in the dtype of the network's weights (float32 for a
 trained detector), as the engine does, and refuses a step whose input or
@@ -43,8 +44,7 @@ from repro.core.stream_engine import LEVEL_NONE, LEVEL_PACKAGE, LEVEL_TIMESERIES
 from repro.core.timeseries_detector import BatchStreamState
 from repro.experiments.pipeline import run_pipeline
 from repro.ics.features import PID_PARAMETER_NAMES
-from repro.nn.activations import sigmoid, softmax
-from repro.nn.losses import top_k_sets
+from repro.nn.activations import sigmoid
 from repro.nn.lstm import LSTMState
 from repro.persistence import load_detector, save_detector
 from repro.scenarios import scenario_names
@@ -103,6 +103,14 @@ def reference_encode(encoder, codes, flags, dtype):
     return x
 
 
+def reference_in_top_k(scores, target, k):
+    """The top-k rule one comparison at a time: fewer than ``k`` scores
+    strictly above the target's (float32 scores compare exactly as
+    Python floats)."""
+    row = scores.tolist()
+    return sum(score > row[target] for score in row) < k
+
+
 def reference_step(layer, x, state):
     """``LSTMLayer.step`` with one masked sigmoid call per gate, in the
     weights' dtype."""
@@ -150,9 +158,10 @@ class ReferenceEngine:
         judged = ~flagged & current.has_probs
         verdicts |= judged & (ids < 0)
         check = judged & (ids >= 0)
-        if check.any():
-            sets = top_k_sets(current.last_probs[check], detector.timeseries.k)
-            verdicts[check] = ~(sets == ids[check, None]).any(axis=1)
+        for row in np.flatnonzero(check):
+            verdicts[row] = not reference_in_top_k(
+                current.last_probs[row], ids[row], detector.timeseries.k
+            )
         model = detector.timeseries.model
         hidden = reference_encode(
             detector.timeseries.encoder, codes, verdicts, model.dtype
@@ -161,10 +170,9 @@ class ReferenceEngine:
         for layer, layer_state in zip(model.lstm_layers, current.lstm_states):
             hidden, layer_state = reference_step(layer, hidden, layer_state)
             layers.append(layer_state)
-        probs = softmax(model.output_layer.forward(hidden, keep_cache=False), axis=-1)
         stepped = BatchStreamState(
             lstm_states=layers,
-            last_probs=probs,
+            last_probs=model.output_layer.forward(hidden, keep_cache=False),
             has_probs=np.ones(len(rows), dtype=bool),
             packages_seen=current.packages_seen + 1,
         )
@@ -626,31 +634,8 @@ class TestSignatureTable:
         assert table.resolve((3, 4)) == (False, 1)
 
     def test_tampered_filter_still_flags_the_missing_signature(self, tmp_path):
-        result = run_pipeline("ci@gas_pipeline")
-        detector, capture = result.detector, result.dataset.test_packages
-        codes = detector.discretizer.transform_sequence(capture)
-        signatures = [signature_of(vector) for vector in codes]
+        detector, loaded, capture, signatures, victim = tampered_filter(tmp_path)
         vocabulary = detector.vocabulary
-        original = detector.package_detector.bloom
-        # The most frequent in-vocabulary signature of the capture that
-        # a filter without it does not contain by accident.
-        ranked = sorted(
-            {s for s in signatures if s in vocabulary},
-            key=lambda s: (-signatures.count(s), s),
-        )
-        for victim in ranked:
-            tampered = BloomFilter(original.num_bits, original.num_hashes)
-            tampered.update(s for s in vocabulary.signatures if s != victim)
-            if victim not in tampered:
-                break
-        else:
-            pytest.fail("every candidate collides in the tampered filter")
-        path = tmp_path / "tampered.npz"
-        state = detector.state_dict()
-        state["package_detector"]["bloom"] = tampered.state_dict()
-        save_detector(type(detector).from_state(state), path)
-        loaded = load_detector(path)
-
         victim_codes = codes_of(victim)
         assert loaded.package_detector.is_anomalous_codes(victim_codes)
         flagged, ids = loaded.package_detector.resolve_batch([victim_codes])
@@ -662,3 +647,38 @@ class TestSignatureTable:
         original_levels = detector.detect(capture).level
         assert all(tampered_levels[i] == LEVEL_PACKAGE for i in hits)
         assert all(original_levels[i] != LEVEL_PACKAGE for i in hits)
+
+    def test_flagged_vocabulary_rows_in_multi_row_ticks(self, tmp_path):
+        """A Bloom-flagged signature the vocabulary knows skips the top-k
+        check in ticks of every shape, however the model ranks it."""
+        _, loaded, capture, _, _ = tampered_filter(tmp_path)
+        check_multi_stream_ticks(loaded, capture)
+
+
+def tampered_filter(tmp_path):
+    """The ci gas_pipeline detector, and a copy whose Bloom filter lacks
+    the capture's most frequent in-vocabulary signature."""
+    result = run_pipeline("ci@gas_pipeline")
+    detector, capture = result.detector, result.dataset.test_packages
+    codes = detector.discretizer.transform_sequence(capture)
+    signatures = [signature_of(vector) for vector in codes]
+    vocabulary = detector.vocabulary
+    original = detector.package_detector.bloom
+    # The most frequent in-vocabulary signature of the capture that
+    # a filter without it does not contain by accident.
+    ranked = sorted(
+        {s for s in signatures if s in vocabulary},
+        key=lambda s: (-signatures.count(s), s),
+    )
+    for victim in ranked:
+        tampered = BloomFilter(original.num_bits, original.num_hashes)
+        tampered.update(s for s in vocabulary.signatures if s != victim)
+        if victim not in tampered:
+            break
+    else:
+        pytest.fail("every candidate collides in the tampered filter")
+    path = tmp_path / "tampered.npz"
+    state = detector.state_dict()
+    state["package_detector"]["bloom"] = tampered.state_dict()
+    save_detector(type(detector).from_state(state), path)
+    return detector, load_detector(path), capture, signatures, victim

@@ -355,6 +355,42 @@ class TestEngineCheckpoint:
         with pytest.raises(ArtifactError, match="disagree"):
             StreamEngine.from_state(detector, state)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("streams/last_probs", np.array(0.5, dtype=np.float32)),
+            ("streams/last_probs", np.zeros(2, dtype=np.float32)),
+            ("streams/has_probs", np.ones((2, 1), dtype=bool)),
+            ("streams/packages_seen", np.ones((2, 1), dtype=np.int64)),
+            ("stream_ids", np.array([[0], [1]], dtype=np.int64)),
+            ("stream_ids", np.array([[0, 1], [2, 3]], dtype=np.int64)),
+            ("prev_times", np.zeros((2, 1))),
+            ("prev_known", np.ones((2, 1), dtype=bool)),
+        ],
+        ids=[
+            "last_probs-0d", "last_probs-1d", "has_probs-2d", "packages_seen-2d",
+            "stream_ids-column", "stream_ids-2d", "prev_times-2d", "prev_known-2d",
+        ],
+    )
+    def test_state_arrays_of_the_wrong_rank_are_artifact_errors(
+        self, dataset, detector, tmp_path, field, value
+    ):
+        """A well-formed container whose engine state holds an array of
+        the wrong rank is refused with a typed error, not a traceback or
+        a silent load."""
+        engine = detector.engine(2)
+        engine.observe_batch(dataset.test_packages[:2])
+        state = {"detector": detector.state_dict(), "engine": engine.state_dict()}
+        *parents, leaf = field.split("/")
+        node = state["engine"]
+        for name in parents:
+            node = node[name]
+        node[leaf] = value
+        path = tmp_path / "checkpoint.npz"
+        save_artifact(state, path, kind="stream-checkpoint")
+        with pytest.raises(ArtifactError, match=f"stored {leaf} has shape"):
+            load_checkpoint(path)
+
     def test_mismatched_detector_rejected_at_load(
         self, dataset, detector, tmp_path
     ):

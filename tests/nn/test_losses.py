@@ -1,13 +1,24 @@
-"""Tests for softmax cross-entropy and top-k error."""
+"""Tests for softmax cross-entropy, top-k error and the top-k rule."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from repro.nn.losses import softmax_cross_entropy, top_k_error, top_k_hits, top_k_sets
+from repro.nn.activations import softmax
+from repro.nn.losses import (
+    score_ranks,
+    softmax_cross_entropy,
+    top_k_error,
+    top_k_hits,
+    top_k_sets,
+)
+
+#: The float dtypes a network scores in.
+FLOATS = (np.float32, np.float64)
 
 
 class TestSoftmaxCrossEntropy:
@@ -80,7 +91,9 @@ class TestTopK:
         assert 0 in set(sets[1])
 
     def test_top_k_hits(self):
-        probs = np.array([[0.1, 0.5, 0.4], [0.8, 0.1, 0.1]])
+        # Target 1 of the second row ranks third, behind two strictly
+        # higher scores (a tie at the k-th place is a hit: TestTieRule).
+        probs = np.array([[0.1, 0.5, 0.4], [0.8, 0.05, 0.15]])
         hits = top_k_hits(probs, np.array([2, 1]), 2)
         assert hits[0] and not hits[1]
 
@@ -109,3 +122,98 @@ class TestTopK:
 
     def test_empty_input(self):
         assert top_k_error(np.zeros((0, 4)), np.zeros(0, dtype=int), 2) == 0.0
+
+
+def score_rows(dtype, elements=None, max_classes=24):
+    """One row of scores per class, ties and infinities included."""
+    if elements is None:
+        width = 8 * np.dtype(dtype).itemsize
+        elements = st.floats(allow_nan=False, width=width)
+    return hnp.arrays(dtype, st.integers(2, max_classes), elements=elements)
+
+
+class TestTieRule:
+    """``top_k_hits``: predicted iff fewer than k scores are strictly higher,
+    in both dtypes and on both the one-row and the batched path."""
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_tie_at_the_kth_place_is_predicted(self, dtype):
+        scores = np.array([[0.8, 0.1, 0.1, 0.0]], dtype)
+        for target in (1, 2):
+            assert top_k_hits(scores[0], target, 2) is True
+            assert top_k_hits(scores, np.array([target]), 2).tolist() == [True]
+            assert top_k_hits(scores[0], target, 1) is False
+            assert score_ranks(scores[0], target) == 1
+        # Three-way tie below the top: all three share the second place.
+        tied = np.array([2.0, -1.5, -1.5, -1.5], dtype)
+        assert [top_k_hits(tied, t, 2) for t in range(4)] == [True] * 4
+        assert [top_k_hits(tied, t, 1) for t in range(4)] == [True] + [False] * 3
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_k_at_least_the_classes_predicts_every_class(self, dtype):
+        scores = np.array(
+            [[3.0, -np.inf, 3.0, 0.5], [np.inf, 0.0, -0.0, -2.0]], dtype
+        )
+        for k in (4, 5, 50):
+            for target in range(4):
+                assert top_k_hits(scores[0], target, k) is True
+                hits = top_k_hits(scores, np.array([target, target]), k)
+                assert hits.tolist() == [True, True]
+            assert top_k_hits(scores[0], -1, k) is False
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_out_of_vocabulary_is_never_predicted(self, dtype):
+        # The last class tops the first row: a -1 read as an index would
+        # take its score and count as predicted at every k.
+        scores = np.array([[0.1, 0.2, 0.7], [0.7, 0.2, 0.1]], dtype)
+        for k in (1, 2, 3, 10):
+            assert top_k_hits(scores[0], -1, k) is False
+            assert top_k_hits(scores[0], 3, k) is False
+            assert top_k_hits(scores, np.array([-1, -1]), k).tolist() == [False] * 2
+            assert top_k_hits(scores, np.array([-1, 0]), k).tolist() == [False, True]
+            assert top_k_hits(scores, np.array([3, 0]), k).tolist() == [False, True]
+        assert top_k_error(scores, np.array([-1, 0]), 3) == 0.5
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_rule_is_top_k_set_membership_without_ties(self, dtype, data):
+        """Where no other score equals the target's, the rule is membership
+        in ``top_k_sets``; with a tie it can only count the target in."""
+        scores = data.draw(score_rows(dtype))
+        classes = scores.shape[0]
+        target = data.draw(st.integers(0, classes - 1))
+        k = data.draw(st.integers(1, classes + 2))
+        in_set = target in top_k_sets(scores[None, :], k)[0]
+        hit = top_k_hits(scores, target, k)
+        others = np.delete(scores, target)
+        if (others == scores[target]).any():
+            assert hit or not in_set
+        else:
+            assert hit == in_set
+        rows = np.stack([scores, scores[::-1], np.zeros_like(scores)])
+        batched = top_k_hits(rows, np.array([target, classes - 1 - target, -1]), k)
+        assert batched.tolist() == [hit, hit, False]
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_softmax_ranks_like_its_logits_without_created_ties(self, dtype, data):
+        """Ranking ``softmax(logits)`` equals ranking ``logits`` unless the
+        softmax rounds two different logits to one probability."""
+        width = 8 * np.dtype(dtype).itemsize
+        logits = data.draw(
+            score_rows(dtype, st.floats(-30.0, 30.0, width=width))
+        )
+        probs = softmax(logits)
+        assert probs.dtype == logits.dtype
+        created = (logits[:, None] != logits[None, :]) & (
+            probs[:, None] == probs[None, :]
+        )
+        ranks = [score_ranks(logits, t) for t in range(logits.shape[0])]
+        prob_ranks = [score_ranks(probs, t) for t in range(logits.shape[0])]
+        if not created.any():
+            assert prob_ranks == ranks
+            assert (score_ranks(probs[None, :], np.array([0])) == ranks[0]).all()
+        # A tie the softmax creates can only move a target up.
+        assert all(p <= r for p, r in zip(prob_ranks, ranks))

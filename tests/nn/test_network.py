@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import NetworkConfig, StackedLSTMClassifier
+from repro.nn.activations import softmax
 from repro.nn.gradcheck import check_gradients
 from repro.nn.losses import softmax_cross_entropy
 from repro.nn.optimizers import Adam
@@ -123,14 +124,14 @@ class TestInference:
             model.predict_proba(np.zeros((2, 3, 4)))
 
     def test_streaming_matches_batch(self):
-        """Online step() must reproduce predict_proba exactly."""
+        """The softmax of online step()'s logits reproduces predict_proba."""
         model = StackedLSTMClassifier(NetworkConfig(4, (6, 5), 5), rng=4)
         x = np.random.default_rng(1).standard_normal((9, 4))
         batch_probs = model.predict_proba(x)
         states = model.init_state(1)
         for t in range(9):
-            probs, states = model.step(x[t], states)
-            np.testing.assert_allclose(probs, batch_probs[t], atol=1e-12)
+            logits, states = model.step(x[t], states)
+            np.testing.assert_allclose(softmax(logits), batch_probs[t], atol=1e-12)
 
     def test_step_batched_input(self):
         model = StackedLSTMClassifier(NetworkConfig(4, (6,), 5), rng=0)

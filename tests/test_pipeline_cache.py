@@ -64,6 +64,19 @@ def test_memory_layer_returns_same_object():
     assert run_pipeline("ci") is first
 
 
+def test_memory_layer_evicts_the_least_recently_used(monkeypatch):
+    monkeypatch.setenv("REPRO_PIPELINE_CACHE", "0")
+    monkeypatch.setattr(pipeline, "_run", lambda profile, verbose=False: object())
+    first = run_pipeline("ci", seed=0)
+    second = run_pipeline("ci", seed=1)
+    run_pipeline("ci", seed=2)
+    run_pipeline("ci", seed=3)
+    assert run_pipeline("ci", seed=0) is first  # a hit makes it the newest
+    run_pipeline("ci", seed=4)  # the fifth entry evicts seed 1
+    assert run_pipeline("ci", seed=0) is first
+    assert run_pipeline("ci", seed=1) is not second
+
+
 def test_seeds_cached_separately():
     default = run_pipeline("ci")
     other = run_pipeline("ci", seed=123)
