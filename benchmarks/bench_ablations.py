@@ -70,7 +70,12 @@ def test_ablation_window_size(benchmark, profile):
 
 
 def test_ablation_dynamic_k(benchmark, profile):
-    """Future-work extension: adapt k online from prediction ranks."""
+    """Future-work extension: adapt k online from prediction ranks.
+
+    Each validation fragment runs on a one-stream engine, the served
+    Fig. 3 path; a package's rank is read from the logits the engine
+    holds for it before the package is observed.
+    """
     pipeline = run_pipeline(profile)
     detector = pipeline.detector
     vocabulary = detector.vocabulary
@@ -82,17 +87,19 @@ def test_ablation_dynamic_k(benchmark, profile):
         ks = []
         for fragment in validation:
             codes = discretizer.transform_sequence(fragment)
-            state = detector.timeseries.new_stream()
-            for vector in codes:
-                if state.last_probs is not None:
+            engine = detector.engine(1)
+            (stream_id,) = engine.stream_ids
+            for package, vector in zip(fragment, codes):
+                row = engine.snapshot(stream_id)
+                if row.has_probs[0]:
                     identifier = vocabulary.id_of(signature_of(vector))
                     rank = (
                         None
                         if identifier is None
-                        else rank_of(state.last_probs, identifier)
+                        else rank_of(row.last_probs[0], identifier)
                     )
                     ks.append(policy.observe_rank(rank))
-                _, state = detector.timeseries.observe(vector, state)
+                engine.observe(stream_id, package)
         return np.array(ks)
 
     ks = benchmark.pedantic(run_policy, rounds=1, iterations=1)

@@ -563,10 +563,12 @@ def _profile_from_args_and_meta(args: argparse.Namespace, meta: dict[str, Any]) 
     )
 
 
-def _observe_stream(engine, packages) -> tuple[np.ndarray, np.ndarray]:
-    """Advance a single-stream engine through ``packages``."""
-    (stream_id,) = engine.stream_ids
-    return engine.observe_stream(stream_id, packages)
+def _refuse_negative_counts(args: argparse.Namespace, *flags: str) -> None:
+    """A negative package count would slice from the end of the capture."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < 0:
+            raise SystemExit(f"error: {flag} must be >= 0, got {value}")
 
 
 def _report(
@@ -648,6 +650,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_detect(args: argparse.Namespace) -> int:
     if (args.stop_after is None) != (args.checkpoint is None):
         raise SystemExit("--stop-after and --checkpoint must be given together")
+    _refuse_negative_counts(args, "--limit", "--stop-after")
     detector = load_detector(args.model)
     meta = read_meta(args.model)["meta"]
     profile = _profile_from_args_and_meta(args, meta)
@@ -660,7 +663,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
     engine = detector.engine(1)
     started = time.perf_counter()
-    anomalies, levels = _observe_stream(engine, packages)
+    anomalies, levels = engine.observe_stream(engine.stream_ids[0], packages)
     seconds = time.perf_counter() - started
 
     extra: dict[str, Any] = {"offset": 0}
@@ -678,6 +681,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _cmd_resume(args: argparse.Namespace) -> int:
+    _refuse_negative_counts(args, "--limit")
     meta = checkpoint_meta(args.checkpoint)
     engine = load_checkpoint(args.checkpoint)
     offset = int(meta.get("offset", 0))
@@ -689,7 +693,7 @@ def _cmd_resume(args: argparse.Namespace) -> int:
     print(f"resuming at package {offset} ({len(packages)} remaining)")
 
     started = time.perf_counter()
-    anomalies, levels = _observe_stream(engine, packages)
+    anomalies, levels = engine.observe_stream(engine.stream_ids[0], packages)
     seconds = time.perf_counter() - started
     _report(
         "resume", packages, anomalies, levels, seconds, args.json_out,
@@ -905,6 +909,7 @@ def _print_serve_summary(stats: dict[str, Any]) -> None:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
+    _refuse_negative_counts(args, "--limit")
     if args.arff:
         packages = read_arff(args.arff)
     else:

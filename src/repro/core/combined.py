@@ -249,10 +249,6 @@ class CombinedDetector:
 
         return load_detector(path)
 
-    def resume_engine(self, state: dict[str, Any]) -> StreamEngine:
-        """Rebuild a checkpointed :class:`StreamEngine` against this detector."""
-        return StreamEngine.from_state(self, state)
-
     # ------------------------------------------------------------------
     # detection
     # ------------------------------------------------------------------

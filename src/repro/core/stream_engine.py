@@ -45,10 +45,9 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from repro.core.timeseries_detector import BatchStreamState, StreamState, state_array
+from repro.core.timeseries_detector import BatchStreamState, state_array
 from repro.ics.features import Package
 from repro.nn.losses import top_k_hits
-from repro.nn.network import StackedLSTMClassifier
 from repro.utils.artifact import ArtifactError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
@@ -57,6 +56,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
 #: Detection level tags in results.
 LEVEL_NONE, LEVEL_PACKAGE, LEVEL_TIMESERIES = 0, 1, 2
 LEVEL_NAMES = {LEVEL_NONE: "normal", LEVEL_PACKAGE: "package", LEVEL_TIMESERIES: "time-series"}
+
+#: The largest value of the unsigned 32-bit fields that carry stream ids
+#: and package counts on the wire (OPEN_ACK) and the worker pipe.  An
+#: engine's ids stay below it: the gateway acks the all-ones id to a
+#: stream still waiting for its row.
+WIRE_U32_MAX = 0xFFFFFFFF
 
 #: One-row ticks per pass when :meth:`StreamEngine.observe_stream` runs
 #: a recorded sequence: bounds the pass's one-hot rows and codes.
@@ -141,6 +146,8 @@ class StreamEngine:
             raise ValueError(f"count must be >= 0, got {count}")
         if count == 0:
             return []
+        if self._next_id + count > WIRE_U32_MAX:
+            raise ValueError(f"{count} more streams would exhaust the 32-bit ids")
         stream_ids = list(range(self._next_id, self._next_id + count))
         self._next_id += count
         first = len(self._stream_ids)
@@ -164,24 +171,15 @@ class StreamEngine:
         """Number of packages observed on one stream."""
         return int(self._state.packages_seen[self._slot_of(stream_id)])
 
-    def snapshot(self, stream_id: int) -> StreamState:
-        """Standalone copy of one stream's recurrent state.
+    def snapshot(self, stream_id: int) -> BatchStreamState:
+        """A copy of one stream's row: a one-row :class:`BatchStreamState`.
 
-        Splits the stream's row out of the batch as a scalar
-        :class:`StreamState`, so a stream can be handed off to the
-        per-package ``TimeSeriesDetector.observe`` path (or persisted)
-        and continue exactly where the engine left it.
+        ``last_probs[0]`` holds the logits its next package is ranked by,
+        valid once ``has_probs[0]`` is set.  A row handed to another
+        engine through :meth:`from_state`, with the stream's clock,
+        continues exactly where this engine left it.
         """
-        slot = self._slot_of(stream_id)
-        state = self._state
-        row = StackedLSTMClassifier.select_states(state.lstm_states, [slot])
-        return StreamState(
-            lstm_states=StackedLSTMClassifier.split_states(row)[0],
-            last_probs=(
-                state.last_probs[slot].copy() if state.has_probs[slot] else None
-            ),
-            packages_seen=int(state.packages_seen[slot]),
-        )
+        return self._state.select([self._slot_of(stream_id)])
 
     def _slot_of(self, stream_id: int) -> int:
         slot = self._slots.get(stream_id)
@@ -231,8 +229,14 @@ class StreamEngine:
         if len(set(stream_ids)) != len(stream_ids):
             raise ArtifactError("engine state has duplicate stream ids")
         next_id = int(state["next_id"])
-        if any(i >= next_id for i in stream_ids):
-            raise ArtifactError("engine state next_id conflicts with stream ids")
+        if not 0 <= next_id <= WIRE_U32_MAX:
+            raise ArtifactError(
+                f"engine state next_id {next_id} is outside 0..{WIRE_U32_MAX}"
+            )
+        if any(not 0 <= i < next_id for i in stream_ids):
+            raise ArtifactError(
+                f"engine state stream ids must lie in 0..{next_id - 1}"
+            )
         prev_times = state_array(state["prev_times"], np.float64, 1, "prev_times")
         prev_known = state_array(state["prev_known"], bool, 1, "prev_known")
         batch_state = BatchStreamState.from_state(
@@ -273,7 +277,13 @@ class StreamEngine:
         # simply resume with zeroed counters.
         stats = state.get("stats")
         if stats is not None:
-            engine._stats = EngineStats(**{k: int(v) for k, v in stats.items()})
+            try:
+                counts = {k: int(v) for k, v in stats.items()}
+                engine._stats = EngineStats(**counts)
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ArtifactError(f"bad engine stats state: {exc}") from exc
+            if min(counts.values(), default=0) < 0:
+                raise ArtifactError(f"engine stats hold a negative count: {counts}")
         return engine
 
     # ------------------------------------------------------------------

@@ -4,12 +4,16 @@ A stacked LSTM softmax classifier predicts the distribution over the
 next package's signature given the discretized history.  A package whose
 signature is not among the top-``k`` predicted signatures is flagged:
 fewer than ``k`` signatures may score strictly higher than it
-(:func:`~repro.nn.losses.top_k_hits`), which serving decides on the
-output layer's logits without a softmax.
+(:func:`~repro.nn.losses.top_k_hits`).
 Training can inject probabilistic noise (Section V-3) so the model stays
 robust when anomalies contaminate its input history; inputs carry an
 extra indicator bit that is 1 on noised training packages and, at
 detection time, on packages the framework itself classified anomalous.
+
+:class:`TimeSeriesDetector` trains the network, scores the ``err_k``
+curve ``k`` is chosen from, and makes fresh :class:`BatchStreamState`
+rows; :class:`~repro.core.stream_engine.StreamEngine` judges packages,
+on the output layer's logits without a softmax.
 """
 
 from __future__ import annotations
@@ -56,43 +60,6 @@ class TimeSeriesDetectorConfig:
         if self.lam <= 0:
             raise ValueError(f"lam must be > 0, got {self.lam}")
         return self
-
-
-@dataclass
-class StreamState:
-    """Recurrent context of one monitored package stream.
-
-    ``last_probs`` holds the scores the next package is ranked by: the
-    last step's logits, or probabilities in a snapshot written before
-    serving stopped taking the softmax (they rank alike).
-    """
-
-    lstm_states: list[LSTMState]
-    last_probs: np.ndarray | None = None
-    packages_seen: int = 0
-
-    def state_dict(self) -> dict[str, Any]:
-        """Persistent snapshot of one stream's recurrent context."""
-        return {
-            "lstm": _lstm_states_to_state(self.lstm_states),
-            "last_probs": (
-                None if self.last_probs is None else self.last_probs.copy()
-            ),
-            "packages_seen": self.packages_seen,
-        }
-
-    @classmethod
-    def from_state(cls, state: dict[str, Any], dtype: Any) -> "StreamState":
-        """Rebuild a stream snapshot from :meth:`state_dict` output, its
-        arrays in ``dtype``: that of the model it resumes against."""
-        last_probs = state["last_probs"]
-        return cls(
-            lstm_states=_lstm_states_from_state(state["lstm"], dtype),
-            last_probs=(
-                None if last_probs is None else np.array(last_probs, dtype=dtype)
-            ),
-            packages_seen=int(state["packages_seen"]),
-        )
 
 
 def state_array(value: Any, dtype: Any, ndim: int, name: str) -> np.ndarray:
@@ -252,6 +219,8 @@ class BatchStreamState:
             raise ArtifactError(
                 f"stream batch state rows disagree: {sorted(rows)}"
             )
+        if (restored.packages_seen < 0).any():
+            raise ArtifactError("stored packages_seen holds a negative count")
         return restored
 
 
@@ -306,17 +275,13 @@ class CodeEncoder:
             out[:, -1] = noise_flags
         return out
 
-    def encode_one(self, codes: CodeVector, noise_flag: bool) -> np.ndarray:
-        """Encode a single package vector (streaming use)."""
-        return self.encode_sequence([codes], [noise_flag])[0]
-
 
 class TimeSeriesDetector:
     """The stacked-LSTM top-k detector over signature streams.
 
     Operates on *discretized* code vectors; pair it with a
     :class:`~repro.core.discretization.FeatureDiscretizer` (the combined
-    framework does this wiring).
+    framework does this wiring, and its engine does the judging).
     """
 
     def __init__(
@@ -522,44 +487,8 @@ class TimeSeriesDetector:
         return {k: misses[k] / total for k in ks}
 
     # ------------------------------------------------------------------
-    # streaming detection
+    # engine state
     # ------------------------------------------------------------------
-
-    def new_stream(self) -> StreamState:
-        """Fresh recurrent state for one monitored stream."""
-        return StreamState(lstm_states=self.model.init_state(1))
-
-    def observe(
-        self,
-        codes: CodeVector,
-        state: StreamState,
-        forced_verdict: bool | None = None,
-    ) -> tuple[bool, StreamState]:
-        """Process one package; returns ``(is_anomalous, new_state)``.
-
-        ``F_t`` cannot judge the very first package of a stream (no
-        history), so it passes.  ``forced_verdict`` lets the combined
-        framework feed the Bloom filter's verdict into the noise bit
-        without re-running the top-k check.
-        """
-        if forced_verdict is None:
-            if state.last_probs is None:
-                verdict = False
-            else:
-                identifier = self.vocabulary.id_of(signature_of(codes))
-                if identifier is None:
-                    verdict = True
-                else:
-                    verdict = not top_k_hits(state.last_probs, identifier, self.k)
-        else:
-            verdict = forced_verdict
-        x = self.encoder.encode_one(codes, noise_flag=verdict)
-        logits, lstm_states = self.model.step(x, state.lstm_states)
-        return verdict, StreamState(
-            lstm_states=lstm_states,
-            last_probs=logits,
-            packages_seen=state.packages_seen + 1,
-        )
 
     def new_stream_batch(self, batch_size: int) -> BatchStreamState:
         """Fresh recurrent state for ``batch_size`` concurrent streams,
@@ -572,14 +501,6 @@ class TimeSeriesDetector:
             has_probs=np.zeros(batch_size, dtype=bool),
             packages_seen=np.zeros(batch_size, dtype=np.int64),
         )
-
-    def classify_sequence(self, codes: Sequence[CodeVector]) -> np.ndarray:
-        """Run streaming detection over a whole code sequence."""
-        state = self.new_stream()
-        verdicts = np.zeros(len(codes), dtype=bool)
-        for i, vector in enumerate(codes):
-            verdicts[i], state = self.observe(vector, state)
-        return verdicts
 
     def memory_bytes(self) -> int:
         """Model parameter memory (for the paper's cost accounting)."""

@@ -62,13 +62,6 @@ class LSTMState:
             np.concatenate([state.c for state in states], axis=0),
         )
 
-    def split(self) -> list["LSTMState"]:
-        """Inverse of :meth:`stack`: one single-row state per batch entry."""
-        return [
-            LSTMState(self.h[i : i + 1].copy(), self.c[i : i + 1].copy())
-            for i in range(self.batch_size)
-        ]
-
     def select(self, indices: Sequence[int] | np.ndarray) -> "LSTMState":
         """Row subset (used to compact detached streams out of a batch).
 
@@ -89,14 +82,6 @@ class LSTMState:
             )
         self.h[idx] = other.h
         self.c[idx] = other.c
-
-    def replace_rows(
-        self, indices: Sequence[int] | np.ndarray, other: "LSTMState"
-    ) -> "LSTMState":
-        """Copy with ``other``'s rows scattered into positions ``indices``."""
-        merged = self.copy()
-        merged.set_rows(indices, other)
-        return merged
 
 
 class _ForwardCache:

@@ -350,12 +350,6 @@ class StackedLSTMClassifier:
         ]
 
     @staticmethod
-    def split_states(states: list[LSTMState]) -> list[list[LSTMState]]:
-        """Inverse of :meth:`stack_states`: one state list per batch row."""
-        per_layer = [state.split() for state in states]
-        return [list(rows) for rows in zip(*per_layer)]
-
-    @staticmethod
     def select_states(
         states: list[LSTMState], indices: Sequence[int] | np.ndarray
     ) -> list[LSTMState]:
@@ -365,7 +359,8 @@ class StackedLSTMClassifier:
     def step(
         self, x_t: np.ndarray, states: list[LSTMState]
     ) -> tuple[np.ndarray, list[LSTMState]]:
-        """Feed one package vector ``(D,)`` or ``(B, D)``; returns logits.
+        """Feed one package vector per stream, ``(B, D)``; returns the
+        ``(B, C)`` logits.
 
         The output layer's logits score the *next* package's signature
         given everything fed so far.  ``F_t`` only ranks them
@@ -374,17 +369,14 @@ class StackedLSTMClassifier:
         Inputs are cast to the weights' dtype, and ``states`` must hold
         it (as :meth:`init_state` makes them).
         """
-        x_t = np.asarray(x_t, dtype=self.dtype)
-        squeeze = x_t.ndim == 1
-        if squeeze:
-            x_t = x_t[None, :]
+        hidden = np.asarray(x_t, dtype=self.dtype)
+        if hidden.ndim != 2:
+            raise ValueError(f"step takes (B, D) inputs, got shape {hidden.shape}")
         new_states: list[LSTMState] = []
-        hidden = x_t
         for layer, state in zip(self.lstm_layers, states):
             hidden, new_state = layer.step(hidden, state)
             new_states.append(new_state)
-        logits = self.output_layer.forward(hidden, keep_cache=False)
-        return (logits[0] if squeeze else logits), new_states
+        return self.output_layer.forward(hidden, keep_cache=False), new_states
 
     def top_k_validation_error(self, fragments: Sequence[Fragment], k: int) -> float:
         """``err_k`` over every prediction in clean fragments."""

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Callable
 import numpy as np
 
 from repro.core.combined import CombinedDetector
-from repro.core.stream_engine import StreamEngine
+from repro.core.stream_engine import WIRE_U32_MAX, StreamEngine
 from repro.utils.artifact import (
     ArtifactError,
     load_artifact,
@@ -423,6 +423,13 @@ def load_gateway_checkpoint(
             raise ArtifactError(
                 f"binding {key!r} names stream {binding.stream_id} of route "
                 f"{binding.label} not present in shard {binding.shard}"
+            )
+        # The resume offset an OPEN_ACK carries is an unsigned 32-bit field.
+        offset = binding.seq_base + engine.packages_seen(binding.stream_id)
+        if binding.seq_base < 0 or offset > WIRE_U32_MAX:
+            raise ArtifactError(
+                f"binding {key!r} resumes at offset {offset} (seq_base "
+                f"{binding.seq_base}), outside 0..{WIRE_U32_MAX}"
             )
         bindings[key] = binding
     return GatewayCheckpoint(

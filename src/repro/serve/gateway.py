@@ -91,6 +91,7 @@ from dataclasses import dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
+from repro.core.stream_engine import WIRE_U32_MAX
 from repro.ics.modbus import CrcError
 from repro.obs.incidents import IncidentCorrelator
 from repro.obs.monitors import DriftMonitorBank
@@ -137,8 +138,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.registry.store import ModelRegistry
 
 #: Stream id placeholder acked to untagged streams awaiting
-#: auto-identification (no engine row is assigned yet).
-PENDING_STREAM_ID = 0xFFFFFFFF
+#: auto-identification (no engine row is assigned yet).  Engine ids
+#: stay below it.
+PENDING_STREAM_ID = WIRE_U32_MAX
 
 #: :meth:`DetectionGateway.settle` waits at most this long for the
 #: gateway's loop, checking every poll interval that the loop still runs.

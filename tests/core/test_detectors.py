@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core.bloom import BloomFilter
 from repro.core.combined import (
     CombinedDetector,
     DetectorConfig,
@@ -15,13 +16,14 @@ from repro.core.combined import (
 )
 from repro.core.discretization import FeatureDiscretizer
 from repro.core.package_detector import PackageLevelDetector
-from repro.core.signatures import SignatureVocabulary
+from repro.core.signatures import SignatureVocabulary, signature_of
 from repro.core.timeseries_detector import (
     CodeEncoder,
     TimeSeriesDetector,
     TimeSeriesDetectorConfig,
 )
 from repro.ics.dataset import DatasetConfig, generate_dataset
+from tests.core.test_exactness import ReferenceEngine, assert_same_state_bytes
 
 TS_CONFIG = TimeSeriesDetectorConfig(hidden_sizes=(16,), epochs=4, k=3)
 
@@ -81,7 +83,7 @@ class TestCodeEncoder:
     def test_one_hot_layout(self):
         encoder = CodeEncoder((3, 4))
         assert encoder.input_size == 8  # 3 + 4 + noise bit
-        row = encoder.encode_one((2, 0), noise_flag=True)
+        (row,) = encoder.encode_sequence([(2, 0)], [True])
         np.testing.assert_array_equal(row, [0, 0, 1, 1, 0, 0, 0, 1])
 
     def test_rejects_out_of_range_codes(self):
@@ -117,32 +119,53 @@ class TestTimeSeriesDetector:
         values = [errors[k] for k in sorted(errors)]
         assert all(a >= b - 1e-9 for a, b in zip(values, values[1:]))
 
-    def test_first_package_never_flagged(self, fitted):
-        detector, codes = fitted
-        state = detector.new_stream()
-        verdict, _ = detector.observe(codes[0][0], state)
-        assert verdict is False
+    def test_first_package_never_flagged(self, trained, dataset):
+        """A stream's first package has no history to be judged by: only
+        the package level can flag it."""
+        detector, _ = trained
+        first = dataset.test_packages[:64]
+        anomalies, levels = detector.engine(len(first)).observe_batch(first)
+        assert LEVEL_TIMESERIES not in levels.tolist()
+        np.testing.assert_array_equal(anomalies, levels == LEVEL_PACKAGE)
+        assert not detector.detect(dataset.train_fragments[0][:1]).is_anomaly[0]
 
-    def test_observe_forced_verdict(self, fitted):
-        detector, codes = fitted
-        state = detector.new_stream()
-        verdict, state = detector.observe(codes[0][0], state, forced_verdict=True)
-        assert verdict is True
+    def test_observe_forced_verdict(self, trained, dataset):
+        """A Bloom-flagged first package is anomalous at the package
+        level, and feeds the history with its noise bit set."""
+        detector, _ = trained
+        package = dataset.train_fragments[0][0].replace(address=99)
+        monitor = detector.stream()
+        assert monitor.observe(package) == (True, LEVEL_PACKAGE)
+        reference = ReferenceEngine(detector, 1)
+        verdicts, levels = reference.tick([0], [package])
+        assert verdicts.tolist() == [True] and levels.tolist() == [LEVEL_PACKAGE]
+        assert_same_state_bytes(monitor._engine, reference)
 
-    def test_classify_sequence_shape(self, fitted):
-        detector, codes = fitted
-        verdicts = detector.classify_sequence(codes[0][:20])
-        assert verdicts.shape == (20,)
+    def test_classify_sequence_shape(self, trained, dataset):
+        detector, _ = trained
+        result = detector.detect(dataset.train_fragments[0][:20])
+        assert result.is_anomaly.shape == result.level.shape == (20,)
 
-    def test_unseen_signature_flagged_after_warmup(self, fitted):
-        detector, codes = fitted
-        state = detector.new_stream()
-        for vector in codes[0][:5]:
-            _, state = detector.observe(vector, state)
-        cardinalities = detector.encoder.cardinalities
-        alien = tuple(c - 1 for c in cardinalities)  # all-missing vector
-        verdict, _ = detector.observe(alien, state)
-        assert verdict is True
+    def test_unseen_signature_flagged_after_warmup(self, trained, dataset):
+        """A signature outside the vocabulary that the Bloom filter lets
+        through is flagged at the time-series level once the stream has
+        a history."""
+        detector, _ = trained
+        packages = list(dataset.train_fragments[0][:5])
+        packages.append(dataset.train_fragments[0][5].replace(address=99))
+        codes = detector.discretizer.transform_sequence(packages)
+        alien = signature_of(codes[-1])
+        assert alien not in detector.vocabulary
+        assert detector.detect(packages).level[-1] == LEVEL_PACKAGE
+
+        original = detector.package_detector.bloom
+        bloom = BloomFilter(original.num_bits, original.num_hashes)
+        bloom.update([*detector.vocabulary.signatures, alien])
+        state = detector.state_dict()
+        state["package_detector"]["bloom"] = bloom.state_dict()
+        result = CombinedDetector.from_state(state).detect(packages)
+        assert result.is_anomaly[-1]
+        assert result.level[-1] == LEVEL_TIMESERIES
 
     def test_requires_vocabulary_of_two(self, fitted):
         vocab = SignatureVocabulary()

@@ -391,6 +391,54 @@ class TestEngineCheckpoint:
         with pytest.raises(ArtifactError, match=f"stored {leaf} has shape"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "streams, edits",
+        [
+            (2, {"stream_ids": np.array([-3, 1])}),
+            (2, {"stream_ids": np.array([0, 2**32 + 5]), "next_id": 2**32 + 6}),
+            (2, {"next_id": 2**32}),
+            (0, {"next_id": -1}),
+            (2, {"streams/packages_seen": np.array([1, -7])}),
+            (2, {"stats/ticks": -5}),
+            (2, {"stats/bogus": 1}),
+        ],
+        ids=[
+            "negative-id", "id-past-u32", "next-id-past-u32", "negative-next-id",
+            "negative-packages-seen", "negative-stats-count", "unknown-stats-count",
+        ],
+    )
+    def test_ids_and_counts_the_wire_cannot_carry_are_artifact_errors(
+        self, dataset, detector, tmp_path, streams, edits
+    ):
+        """Stream ids and package counts ride unsigned 32-bit fields on
+        the wire and the worker pipe, whose all-ones id marks a pending
+        stream: a checkpoint holding one they cannot carry is refused at
+        load, not at the first frame that packs it.  So are stats
+        counters ``/stats`` could not report."""
+        engine = detector.engine(streams)
+        engine.observe_batch(dataset.test_packages[:streams])
+        state = {"detector": detector.state_dict(), "engine": engine.state_dict()}
+        for field, value in edits.items():
+            *parents, leaf = field.split("/")
+            node = state["engine"]
+            for name in parents:
+                node = node[name]
+            node[leaf] = value
+        path = tmp_path / "checkpoint.npz"
+        save_artifact(state, path, kind="stream-checkpoint")
+        with pytest.raises(ArtifactError):
+            load_checkpoint(path)
+
+    def test_ids_up_to_the_pending_id_load_and_stop_there(self, detector):
+        engine = detector.engine(2)
+        state = engine.state_dict()
+        state["stream_ids"] = np.array([0, 2**32 - 2])
+        state["next_id"] = 2**32 - 1
+        resumed = StreamEngine.from_state(detector, state)
+        assert resumed.stream_ids == (0, 2**32 - 2)
+        with pytest.raises(ValueError, match="32-bit ids"):
+            resumed.attach()
+
     def test_mismatched_detector_rejected_at_load(
         self, dataset, detector, tmp_path
     ):

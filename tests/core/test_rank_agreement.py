@@ -88,12 +88,19 @@ class Judge:
         )
 
 
+def scores_before(engine, stream_id):
+    """The logits a stream's next package is ranked by, ``None`` before
+    its first package."""
+    row = engine.snapshot(stream_id)
+    return row.last_probs[0] if row.has_probs[0] else None
+
+
 def check_one_row_ticks(detector, capture):
     judge = Judge(detector, [capture])
     engine = detector.engine(1)
     stream_id = engine.stream_ids[0]
     for position, package in enumerate(capture):
-        logits = engine.snapshot(stream_id).last_probs
+        logits = scores_before(engine, stream_id)
         verdicts, levels = engine.observe_batch([package])
         judge.compare(0, position, logits, (bool(verdicts[0]), int(levels[0])))
     return judge
@@ -111,7 +118,7 @@ def check_mixed_ticks(detector, capture):
         rows = SCHEDULE[tick % len(SCHEDULE)]
         if any(cursor[row] >= third for row in rows):
             break
-        before = [engine.snapshot(ids[row]).last_probs for row in rows]
+        before = [scores_before(engine, ids[row]) for row in rows]
         verdicts, levels = engine.observe_batch(
             {ids[row]: streams[row][cursor[row]] for row in rows}
         )

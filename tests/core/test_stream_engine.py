@@ -1,10 +1,11 @@
 """Tests for the batched multi-stream :class:`StreamEngine`.
 
 The load-bearing property is equivalence: a 1-stream engine must be
-bit-identical to the paper's Fig.-3 per-package data path (the legacy
-``TimeSeriesDetector.observe`` loop), and every stream of an N-stream
-engine must report the same verdicts as an independent monitor fed the
-same packages.
+bit-identical to the paper's Fig.-3 data path as the reference seams of
+``test_exactness`` compute it (``ReferenceEngine``), in every verdict,
+level and recurrent-state byte, and every stream of an N-stream engine
+must report the same verdicts as an independent monitor fed the same
+packages.
 """
 
 from __future__ import annotations
@@ -20,8 +21,9 @@ from repro.core.combined import (
     LEVEL_TIMESERIES,
 )
 from repro.core.stream_engine import StreamEngine
-from repro.core.timeseries_detector import TimeSeriesDetectorConfig
+from repro.core.timeseries_detector import BatchStreamState, TimeSeriesDetectorConfig
 from repro.ics.dataset import DatasetConfig, generate_dataset
+from tests.core.test_exactness import ReferenceEngine, assert_same_state_bytes
 
 TS_CONFIG = TimeSeriesDetectorConfig(hidden_sizes=(16,), epochs=4, k=3)
 
@@ -43,49 +45,45 @@ def detector(dataset):
 
 
 def reference_observe(detector, packages):
-    """The pre-engine streaming data path, package at a time."""
-    state = detector.timeseries.new_stream()
-    prev_time = None
+    """One stream's packages as one-row ``ReferenceEngine`` ticks: the
+    ``(verdict, level)`` of each, and the reference holding the final
+    state."""
+    reference = ReferenceEngine(detector, 1)
     results = []
     for package in packages:
-        codes = detector.discretizer.transform_package(package, prev_time)
-        prev_time = package.time
-        if detector.package_detector.is_anomalous_codes(codes):
-            _, state = detector.timeseries.observe(codes, state, forced_verdict=True)
-            results.append((True, LEVEL_PACKAGE))
-        else:
-            verdict, state = detector.timeseries.observe(codes, state)
-            results.append((bool(verdict), LEVEL_TIMESERIES if verdict else LEVEL_NONE))
-    return results, state
+        verdicts, levels = reference.tick([0], [package])
+        results.append((bool(verdicts[0]), int(levels[0])))
+    return results, reference
+
+
+def tick_results(anomalies, levels):
+    return list(zip(anomalies.tolist(), levels.tolist()))
 
 
 class TestSingleStreamEquivalence:
     def test_n1_bit_identical_to_legacy_path(self, detector, dataset):
-        """Engine at N=1 matches the per-package path bit-for-bit."""
+        """Engine at N=1 matches the reference path bit-for-bit."""
         packages = dataset.test_packages[:550]
         assert len(packages) >= 500
-        expected, final_state = reference_observe(detector, packages)
+        expected, reference = reference_observe(detector, packages)
 
         engine = detector.engine(1)
         got = []
         for package in packages:
-            anomalies, levels = engine.observe_batch([package])
-            got.append((bool(anomalies[0]), int(levels[0])))
+            got += tick_results(*engine.observe_batch([package]))
         assert got == expected
 
         # The recurrent state itself must be bitwise identical, not just
         # the verdicts: any float drift would compound over a long run.
-        assert np.array_equal(engine._state.last_probs[0], final_state.last_probs)
-        for batched, single in zip(engine._state.lstm_states, final_state.lstm_states):
-            assert np.array_equal(batched.h[0], single.h[0])
-            assert np.array_equal(batched.c[0], single.c[0])
+        assert_same_state_bytes(engine, reference)
 
     def test_stream_monitor_is_engine_backed(self, detector, dataset):
         packages = dataset.test_packages[:200]
-        expected, _ = reference_observe(detector, packages)
+        expected, reference = reference_observe(detector, packages)
         monitor = detector.stream()
         got = [monitor.observe(p) for p in packages]
         assert got == expected
+        assert_same_state_bytes(monitor._engine, reference)
 
 
 class TestMultiStream:
@@ -95,11 +93,16 @@ class TestMultiStream:
             dataset.test_packages[i * length : (i + 1) * length] for i in range(count)
         ]
         engine = detector.engine(count)
+        reference = ReferenceEngine(detector, count)
         per_stream = [[] for _ in range(count)]
         for t in range(length):
-            anomalies, levels = engine.observe_batch([s[t] for s in slices])
+            batch = [s[t] for s in slices]
+            anomalies, levels = engine.observe_batch(batch)
+            want = reference.tick(list(range(count)), batch)
+            assert tick_results(anomalies, levels) == tick_results(*want), t
             for i in range(count):
                 per_stream[i].append((bool(anomalies[i]), int(levels[i])))
+        assert_same_state_bytes(engine, reference)
         for i in range(count):
             expected, _ = reference_observe(detector, slices[i])
             assert per_stream[i] == expected
@@ -138,18 +141,29 @@ class TestAttachDetach:
             dataset.test_packages[i * length : (i + 1) * length] for i in range(3)
         ]
         engine = detector.engine(3)
+        # The reference keeps the detached stream's row and stops
+        # ticking it.
+        reference = ReferenceEngine(detector, 3)
         first, second, third = engine.stream_ids
         survivors = [[], []]
         for t in range(length // 2):
-            anomalies, levels = engine.observe_batch([s[t] for s in slices])
+            batch = [s[t] for s in slices]
+            anomalies, levels = engine.observe_batch(batch)
+            want = reference.tick([0, 1, 2], batch)
+            assert tick_results(anomalies, levels) == tick_results(*want), t
             survivors[0].append((bool(anomalies[0]), int(levels[0])))
             survivors[1].append((bool(anomalies[2]), int(levels[2])))
         engine.detach(second)
         assert engine.stream_ids == (first, third)
         for t in range(length // 2, length):
-            anomalies, levels = engine.observe_batch([slices[0][t], slices[2][t]])
+            batch = [slices[0][t], slices[2][t]]
+            anomalies, levels = engine.observe_batch(batch)
+            want = reference.tick([0, 2], batch)
+            assert tick_results(anomalies, levels) == tick_results(*want), t
             survivors[0].append((bool(anomalies[0]), int(levels[0])))
             survivors[1].append((bool(anomalies[1]), int(levels[1])))
+        reference.state = reference.state.select([0, 2])
+        assert_same_state_bytes(engine, reference)
         for verdicts, packages in zip(survivors, [slices[0], slices[2]]):
             expected, _ = reference_observe(detector, packages)
             assert verdicts == expected
@@ -157,15 +171,22 @@ class TestAttachDetach:
     def test_attached_stream_starts_fresh(self, detector, dataset):
         packages = dataset.test_packages[:80]
         engine = detector.engine(1)
+        # The late stream's reference row is fresh until its first tick.
+        reference = ReferenceEngine(detector, 2)
         for package in packages[:40]:
-            engine.observe_batch([package])
+            got = engine.observe_batch([package])
+            assert tick_results(*got) == tick_results(*reference.tick([0], [package]))
         late = engine.attach()
         verdicts = []
         for t in range(40):
+            batch = [packages[40 + t], packages[t]]
             anomalies, levels = engine.observe_batch(
-                {engine.stream_ids[0]: packages[40 + t], late: packages[t]}
+                {engine.stream_ids[0]: batch[0], late: batch[1]}
             )
+            want = reference.tick([0, 1], batch)
+            assert tick_results(anomalies, levels) == tick_results(*want), t
             verdicts.append((bool(anomalies[1]), int(levels[1])))
+        assert_same_state_bytes(engine, reference)
         expected, _ = reference_observe(detector, packages[:40])
         assert verdicts == expected
 
@@ -186,35 +207,48 @@ class TestAttachDetach:
             engine.observe(999, None)
 
     def test_snapshot_hands_stream_off_to_scalar_path(self, detector, dataset):
-        """A snapshot continues bit-identically on the per-package path."""
+        """A snapshot row handed to a fresh engine continues bit-identically."""
         packages = dataset.test_packages[:60]
-        engine = detector.engine(1)
+        engine = detector.engine(2)
+        stream_id = engine.stream_ids[1]
         for package in packages[:30]:
-            engine.observe_batch([package])
-        state = engine.snapshot(engine.stream_ids[0])
-        assert state.packages_seen == 30
+            engine.observe(stream_id, package)
+        state = engine.snapshot(stream_id)
+        assert state.batch_size == 1
+        assert state.has_probs.tolist() == [True]
+        assert state.packages_seen.tolist() == [30]
 
-        prev_time = packages[29].time
-        handed_off = []
+        handed_off = StreamEngine.from_state(
+            detector,
+            {
+                "stream_ids": np.array([0]),
+                "next_id": 1,
+                "prev_times": np.array([packages[29].time]),
+                "prev_known": np.array([True]),
+                "streams": state.state_dict(),
+            },
+        )
+        _, reference = reference_observe(detector, packages[:30])
         for package in packages[30:]:
-            codes = detector.discretizer.transform_package(package, prev_time)
-            prev_time = package.time
-            if detector.package_detector.is_anomalous_codes(codes):
-                _, state = detector.timeseries.observe(codes, state, forced_verdict=True)
-                handed_off.append(True)
-            else:
-                verdict, state = detector.timeseries.observe(codes, state)
-                handed_off.append(bool(verdict))
-        stayed = [
-            bool(engine.observe_batch([package])[0][0]) for package in packages[30:]
-        ]
-        assert handed_off == stayed
+            stayed = engine.observe(stream_id, package)
+            moved = handed_off.observe(0, package)
+            want = reference.tick([0], [package])
+            assert stayed == moved == (bool(want[0][0]), int(want[1][0]))
+        assert_same_state_bytes(handed_off, reference)
+        # The engine's idle stream 0 keeps its fresh row.
+        reference.state = BatchStreamState.concat(
+            [detector.timeseries.new_stream_batch(1), reference.state]
+        )
+        assert_same_state_bytes(engine, reference)
+        # The snapshot is a copy: the engine ran on without touching it.
+        assert state.packages_seen.tolist() == [30]
 
     def test_snapshot_before_first_package_has_no_probs(self, detector):
         engine = detector.engine(1)
         state = engine.snapshot(engine.stream_ids[0])
-        assert state.last_probs is None
-        assert state.packages_seen == 0
+        assert state.batch_size == 1
+        assert not state.has_probs[0]
+        assert state.packages_seen.tolist() == [0]
 
     def test_attach_many_bulk_pads_batch(self, detector):
         engine = StreamEngine(detector)

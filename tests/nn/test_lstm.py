@@ -151,7 +151,8 @@ class TestStateBatching:
         ]
         stacked = LSTMState.stack(states)
         assert stacked.batch_size == 4
-        for original, restored in zip(states, stacked.split()):
+        for row, original in enumerate(states):
+            restored = stacked.select([row])
             np.testing.assert_array_equal(original.h, restored.h)
             np.testing.assert_array_equal(original.c, restored.c)
 
@@ -169,16 +170,17 @@ class TestStateBatching:
     def test_replace_rows_scatters(self):
         state = LSTMState(np.zeros((3, 2)), np.zeros((3, 2)))
         rows = LSTMState(np.ones((2, 2)), np.full((2, 2), 2.0))
-        merged = state.replace_rows([0, 2], rows)
+        merged = state.copy()
+        merged.set_rows([0, 2], rows)
         np.testing.assert_array_equal(merged.h[:, 0], [1.0, 0.0, 1.0])
         np.testing.assert_array_equal(merged.c[:, 0], [2.0, 0.0, 2.0])
-        assert state.h.sum() == 0.0  # original untouched
+        assert state.h.sum() == 0.0  # the copy was written, not the original
 
     def test_replace_rows_count_mismatch(self):
         state = LSTMState(np.zeros((3, 2)), np.zeros((3, 2)))
         rows = LSTMState(np.ones((2, 2)), np.ones((2, 2)))
         with pytest.raises(ValueError):
-            state.replace_rows([0], rows)
+            state.set_rows([0], rows)
 
     def test_batched_step_matches_single_rows(self):
         """One (B, D) step equals B separate (1, D) steps."""

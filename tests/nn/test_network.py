@@ -9,6 +9,7 @@ from repro.nn import NetworkConfig, StackedLSTMClassifier
 from repro.nn.activations import softmax
 from repro.nn.gradcheck import check_gradients
 from repro.nn.losses import softmax_cross_entropy
+from repro.nn.lstm import LSTMState
 from repro.nn.optimizers import Adam
 
 
@@ -130,14 +131,22 @@ class TestInference:
         batch_probs = model.predict_proba(x)
         states = model.init_state(1)
         for t in range(9):
-            logits, states = model.step(x[t], states)
-            np.testing.assert_allclose(softmax(logits), batch_probs[t], atol=1e-12)
+            logits, states = model.step(x[t : t + 1], states)
+            assert logits.shape == (1, 5)
+            np.testing.assert_allclose(softmax(logits[0]), batch_probs[t], atol=1e-12)
 
     def test_step_batched_input(self):
         model = StackedLSTMClassifier(NetworkConfig(4, (6,), 5), rng=0)
         states = model.init_state(3)
         probs, states = model.step(np.zeros((3, 4)), states)
         assert probs.shape == (3, 5)
+
+    def test_step_refuses_a_bare_vector(self):
+        """One package vector is a ``(1, D)`` row: a ``(D,)`` input would
+        broadcast against the ``(1, H)`` state instead of failing."""
+        model = StackedLSTMClassifier(NetworkConfig(4, (6,), 5), rng=0)
+        with pytest.raises(ValueError, match=r"\(B, D\)"):
+            model.step(np.zeros(4), model.init_state(1))
 
     def test_top_k_error_zero_when_k_equals_classes(self):
         model = StackedLSTMClassifier(NetworkConfig(4, (6,), 5), rng=0)
@@ -155,12 +164,19 @@ class TestStateBatching:
         return StackedLSTMClassifier(NetworkConfig(4, (6, 5), 4), rng=0)
 
     def test_stack_split_roundtrip(self, model):
-        per_stream = [model.init_state(1) for _ in range(3)]
+        rng = np.random.default_rng(3)
+        per_stream = [
+            [LSTMState(rng.normal(size=(1, w)), rng.normal(size=(1, w))) for w in (6, 5)]
+            for _ in range(3)
+        ]
         stacked = model.stack_states(per_stream)
         assert [s.batch_size for s in stacked] == [3, 3]
-        restored = model.split_states(stacked)
-        assert len(restored) == 3
-        assert all(len(states) == 2 for states in restored)
+        for row, states in enumerate(per_stream):
+            restored = model.select_states(stacked, [row])
+            assert len(restored) == 2
+            for original, layer in zip(states, restored):
+                np.testing.assert_array_equal(original.h, layer.h)
+                np.testing.assert_array_equal(original.c, layer.c)
 
     def test_stack_rejects_mismatched_depth(self, model):
         with pytest.raises(ValueError):
@@ -179,8 +195,8 @@ class TestStateBatching:
         xs = rng.normal(size=(3, 4))
         singles = []
         for row in xs:
-            probs, _ = model.step(row, model.init_state(1))
-            singles.append(probs)
+            probs, _ = model.step(row[None, :], model.init_state(1))
+            singles.append(probs[0])
         batched_probs, batched_states = model.step(xs, model.init_state(3))
         np.testing.assert_allclose(batched_probs, np.stack(singles), rtol=0, atol=1e-12)
         assert all(s.batch_size == 3 for s in batched_states)

@@ -5,6 +5,8 @@
 - Gateways of more than ten shards resume.
 - Damaged checkpoint files (truncated, single-bit flips, missing keys)
   either load or raise :class:`ArtifactError`, whatever the layout.
+- A seq base the OPEN_ACK's unsigned 32-bit resume offset cannot carry
+  is an :class:`ArtifactError` at load.
 - A single-model gateway's provenance survives a resume that names no
   model.
 """
@@ -208,6 +210,49 @@ class TestCheckpointDamage:
         drop_key(path, bad, key)
         with pytest.raises(ArtifactError):
             DetectionGateway.from_checkpoint(str(bad), **kwargs)
+
+
+# ----------------------------------------------------------------------
+# resume offsets on the wire
+# ----------------------------------------------------------------------
+
+
+class TestResumeOffsets:
+    """A stream resumes at ``seq_base + packages_seen``, which its next
+    OPEN_ACK carries in an unsigned 32-bit field."""
+
+    def checkpoint(self, detector, capture, tmp_path, seq_base):
+        """A one-stream gateway checkpoint, 20 packages in, whose binding
+        holds ``seq_base`` (written past the saver, which refuses a
+        negative one)."""
+        engine = detector.engine(1)
+        engine.observe_stream(engine.stream_ids[0], capture[:20])
+        path = tmp_path / "gw.npz"
+        binding = RouteBinding(0, None, None, engine.stream_ids[0])
+        save_gateway_checkpoint(
+            path, [{SINGLE_LABEL: engine.state_dict()}], {"a": binding},
+            detector=detector,
+        )
+        header = read_meta(path)
+        state = load_artifact(path, kind=header["kind"])
+        state["binding_seq_bases"] = np.array([seq_base], dtype=np.int64)
+        save_artifact(state, path, kind=header["kind"], meta=header["meta"])
+        return path
+
+    @pytest.mark.parametrize(
+        "seq_base", [-50, 2**32 - 20], ids=["negative", "offset-past-u32"]
+    )
+    def test_offsets_the_open_ack_cannot_carry_are_artifact_errors(
+        self, detector, capture, tmp_path, seq_base
+    ):
+        path = self.checkpoint(detector, capture, tmp_path, seq_base)
+        with pytest.raises(ArtifactError, match="resumes at offset"):
+            DetectionGateway.from_checkpoint(str(path))
+
+    def test_the_largest_offset_loads(self, detector, capture, tmp_path):
+        path = self.checkpoint(detector, capture, tmp_path, 2**32 - 21)
+        restored = load_gateway_checkpoint(path)
+        assert restored.bindings["a"].seq_base == 2**32 - 21
 
 
 # ----------------------------------------------------------------------

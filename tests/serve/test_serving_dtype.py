@@ -8,9 +8,9 @@ and re-converts the recurrent weight matrix on each call, with no
 verdict showing it.  So each create and restore path is checked for the
 dtype of what it makes:
 
-- ``new_stream_batch`` and ``attach``;
-- ``StreamState.from_state`` and ``StreamEngine.from_state``, whatever
-  dtype the state was saved in;
+- ``new_stream_batch``, ``attach`` and a one-row ``snapshot``;
+- ``BatchStreamState.from_state`` (of a ``snapshot`` row) and
+  ``StreamEngine.from_state``, whatever dtype the state was saved in;
 - ``attach`` on a shard worker after an INIT that ships a 0-row engine
   snapshot;
 - gateway checkpoint resume in both worker modes, float32 and float64;
@@ -29,7 +29,7 @@ import numpy as np
 import pytest
 
 from repro.core.stream_engine import StreamEngine
-from repro.core.timeseries_detector import StreamState
+from repro.core.timeseries_detector import BatchStreamState
 from repro.persistence import SINGLE_LABEL
 from repro.registry import ModelRegistry
 from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
@@ -104,8 +104,8 @@ class TestEngineStatePaths:
         engine.observe_batch(capture[2:5])
         assert state_dtypes(engine.state_dict()["streams"]) == {dtype}
         snapshot = engine.snapshot(engine.stream_ids[-1])
-        assert {s.h.dtype for s in snapshot.lstm_states} == {dtype}
-        assert snapshot.last_probs.dtype == dtype
+        assert snapshot.batch_size == 1
+        assert state_dtypes(snapshot.state_dict()) == {dtype}
 
     @pytest.mark.parametrize("saved", [FLOAT32, FLOAT64], ids=["from32", "from64"])
     def test_restores_follow_the_model(self, served, capture, saved):
@@ -127,10 +127,11 @@ class TestEngineStatePaths:
 
         stream = engine.snapshot(engine.stream_ids[0]).state_dict()
         stream["last_probs"] = stream["last_probs"].astype(saved)
-        restored = StreamState.from_state(stream, dtype)
-        assert {s.h.dtype for s in restored.lstm_states} == {dtype}
-        assert {s.c.dtype for s in restored.lstm_states} == {dtype}
-        assert restored.last_probs.dtype == dtype
+        for layer in stream["lstm"].values():
+            layer["h"], layer["c"] = layer["h"].astype(saved), layer["c"].astype(saved)
+        restored = BatchStreamState.from_state(stream, dtype)
+        assert restored.batch_size == 1
+        assert state_dtypes(restored.state_dict()) == {dtype}
 
     def test_same_dtype_resume_is_bit_identical(self, served, capture):
         engine = served.engine(1)

@@ -79,6 +79,37 @@ def test_stop_after_requires_checkpoint(model_path):
         main(["detect", "--model", str(model_path), "--stop-after", "10"])
 
 
+def assert_negative_count_refused(argv, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert str(excinfo.value.code) == f"error: {flag} must be >= 0, got {value}"
+
+
+def test_negative_limit_is_a_one_line_error(model_path, tmp_path):
+    """A negative N would count packages from the end of the capture."""
+    checkpoint = tmp_path / "checkpoint.npz"
+    assert main(
+        ["detect", "--model", str(model_path), "--stop-after", "10",
+         "--checkpoint", str(checkpoint)]
+    ) == 0
+    for argv in (
+        ["detect", "--model", str(model_path)],
+        ["resume", "--checkpoint", str(checkpoint)],
+        ["replay", "--host", "127.0.0.1", "--port", "1", *MICRO],
+    ):
+        assert_negative_count_refused([*argv, "--limit", "-5"], "--limit", -5)
+
+
+def test_negative_stop_after_is_a_one_line_error(model_path, tmp_path):
+    checkpoint = tmp_path / "checkpoint.npz"
+    assert_negative_count_refused(
+        ["detect", "--model", str(model_path), "--stop-after", "-100",
+         "--checkpoint", str(checkpoint)],
+        "--stop-after", -100,
+    )
+    assert not checkpoint.exists()
+
+
 def test_missing_model_is_an_error(tmp_path, capsys):
     assert main(["detect", "--model", str(tmp_path / "nope.npz")]) == 1
     assert "error:" in capsys.readouterr().err
