@@ -368,9 +368,10 @@ class StreamEngine:
         so verdicts, levels, every recurrent-state byte and the
         :class:`EngineStats` equal running the ticks one call at a time,
         and equal the reference Fig. 3 path (columnar discretization,
-        ``signature_of`` + Bloom probe + vocabulary lookup, piecewise
-        sigmoid).  Every stream id and code is checked before any state
-        changes, so a rejected drain leaves the engine as it was.
+        ``signature_of`` + Bloom probe + vocabulary lookup, the LSTM
+        gates one at a time).  Every stream id and code is checked
+        before any state changes, so a rejected drain leaves the engine
+        as it was.
         """
         slots = self._slots
         had = self._state.has_probs

@@ -8,6 +8,11 @@ import numpy as np
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Logistic sigmoid ``σ(x) = 1 / (1 + exp(-x))``, overflow-safe.
 
+    The training path's gate activation (``LSTMLayer.forward``, hence
+    ``fit``, ``predict_proba`` and ``err_k``); the serving step takes
+    σ from one ``tanh`` over its fused gate block instead
+    (``LSTMLayer.step``), within an ulp or so of this.
+
     One pass over the whole array: with ``e = exp(-|x|)`` (so ``exp`` is
     only ever taken of non-positive arguments) the result is
     ``1 / (1 + e)`` where ``x >= 0`` and ``e / (1 + e)`` elsewhere,
@@ -53,8 +58,9 @@ def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:
     Shifts by the max before exponentiation; output rows sum to one,
     matching the paper's softmax activation layer definition.  The
     reductions are the array methods, the same ufunc reductions as
-    ``np.max`` and ``np.sum`` without their Python dispatch: a serving
-    step calls this once per tick.
+    ``np.max`` and ``np.sum`` without their Python dispatch.  Training
+    and ``predict_proba`` take it; serving never does, since the top-k
+    check ranks the logits themselves (``losses.top_k_hits``).
     """
     logits = np.asarray(logits)
     shifted = logits - logits.max(axis=axis, keepdims=True)

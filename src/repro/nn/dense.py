@@ -49,7 +49,8 @@ class DenseLayer:
 
     def forward(self, x: np.ndarray, keep_cache: bool = True) -> np.ndarray:
         """Apply the affine map; ``x`` may be ``(B, D)`` or ``(T, B, D)``,
-        and is cast to the weights' dtype."""
+        and is cast to the weights' dtype.  The bias is added in place on
+        the product, the same bits as ``x @ W + b``."""
         if x.shape[-1] != self.input_size:
             raise ValueError(
                 f"input feature size {x.shape[-1]} != layer input_size {self.input_size}"
@@ -57,7 +58,9 @@ class DenseLayer:
         weights = self.params["W"]
         x = x.astype(weights.dtype, copy=False)
         self._input = x if keep_cache else None
-        return x @ weights + self.params["b"]
+        out = x @ weights
+        out += self.params["b"]
+        return out
 
     def backward(self, d_out: np.ndarray) -> np.ndarray:
         """Backprop; ``d_out`` matches the forward output shape."""

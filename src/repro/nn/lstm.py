@@ -15,6 +15,12 @@ The four gate weight matrices are fused into single ``W``/``U``/``b``
 arrays with column layout ``[i | f | o | g]`` so each timestep costs two
 matrix multiplications.  Arrays are time-major: ``(T, B, D)``.
 
+Training (:meth:`LSTMLayer.forward` and :meth:`LSTMLayer.backward`)
+takes σ from :func:`~repro.nn.activations.sigmoid`.  The serving step
+(:meth:`LSTMLayer.step`, the one every engine pass runs) computes σ as
+``½·tanh(x/2) + ½``, so one in-place ``tanh`` over the fused gate block
+serves all four gates; the two forms differ by about an ulp.
+
 A layer computes in the dtype of its weights: initial weights are
 float64, and a layer built around stored float32 weights runs every
 inference step, and keeps its recurrent state, in float32.  Inputs of
@@ -246,24 +252,42 @@ class LSTMLayer:
         """Single online timestep for streaming detection.
 
         ``x_t`` has shape ``(B, D)``; returns ``(h_t, new_state)`` without
-        caching anything for backprop.  ``x_t`` is cast to the weights'
-        dtype, and ``state`` must already hold it (a float64 state on
-        float32 weights would make every product float64).  One
-        :func:`sigmoid` call covers the fused ``i | f | o`` block;
-        sigmoid is elementwise and exact under that fusion, so the state
-        is bitwise what three per-gate calls give.
+        caching anything for backprop, and never writes into ``state``.
+        ``x_t`` is cast to the weights' dtype; ``state`` must already
+        hold it, or this raises :class:`ValueError` (the in-place sums
+        below would silently round a float64 state to float32).
+
+        The gates come from one ``tanh`` over the fused ``(B, 4H)``
+        block, computed in place on the matmul result: ``i``, ``f`` and
+        ``o`` use ``σ(x) = ½·tanh(x/2) + ½`` (within an ulp or so of
+        :func:`sigmoid`, which training keeps), ``g`` is ``τ`` itself.
+        Every operation is elementwise, so each row's bits are those of
+        one gate at a time and one row at a time.
         """
         hidden = self.hidden_size
         weights = self.params["W"]
+        if state.h.dtype != weights.dtype or state.c.dtype != weights.dtype:
+            raise ValueError(
+                f"state dtype {state.h.dtype}/{state.c.dtype} differs from "
+                f"the weights' {weights.dtype}"
+            )
         x_t = np.asarray(x_t, dtype=weights.dtype)
-        z = x_t @ weights + state.h @ self.params["U"] + self.params["b"]
-        gates = sigmoid(z[:, : 3 * hidden])
-        i = gates[:, :hidden]
-        f = gates[:, hidden : 2 * hidden]
-        o = gates[:, 2 * hidden :]
-        g = tanh(z[:, 3 * hidden :])
-        c = f * state.c + i * g
-        h = o * tanh(c)
+        z = x_t @ weights
+        z += state.h @ self.params["U"]
+        z += self.params["b"]
+        sigmoid_gates = z[:, : 3 * hidden]
+        sigmoid_gates *= 0.5
+        np.tanh(z, out=z)
+        sigmoid_gates *= 0.5
+        sigmoid_gates += 0.5
+        i = z[:, :hidden]
+        f = z[:, hidden : 2 * hidden]
+        o = z[:, 2 * hidden : 3 * hidden]
+        g = z[:, 3 * hidden :]
+        c = f * state.c
+        c += i * g
+        h = np.tanh(c)
+        h *= o
         return h, LSTMState(h, c)
 
     # ------------------------------------------------------------------

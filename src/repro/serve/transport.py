@@ -419,10 +419,21 @@ class DataFrame:
     rtu: ModbusFrame | None
 
 
+#: Features a record cannot leave out (NaN marks a missing feature): the
+#: verdict frame echoes the address, and the interval channel measures
+#: from the time.
+_REQUIRED_FEATURES = tuple(
+    (FEATURE_NAMES.index(name), name) for name in ("address", "time")
+)
+
+
 def _unpack_record(pdu: bytes, offset: int) -> Package:
     """Decode + validate the label byte and 17-double telemetry row."""
     fields = _RECORD.unpack_from(pdu, offset)
     label, row = int(fields[0]), list(fields[1:])
+    for index, name in _REQUIRED_FEATURES:
+        if math.isnan(row[index]):
+            raise TransportError(f"feature {name} is missing")
     for index, name in enumerate(FEATURE_NAMES):
         # Integer-typed features must survive from_row's int() cast.
         if name in ("setpoint", "gain", "reset_rate", "deadband", "cycle_time",

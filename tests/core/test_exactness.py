@@ -2,17 +2,19 @@
 
 The engine's seams are built for ticks of one row: scalar discretization
 with only the joint PID clustering vectorized, one signature-table
-lookup for the Bloom verdict and the vocabulary id, one fused sigmoid
-over the ``i | f | o`` gates, and partial ticks written back in place.
-Offline ``detect()`` runs the same engine, so comparing the two cannot
-catch a numeric drift.  This module keeps the reference path — columnar
-``transform_columns``, ``signature_of`` + ``BloomFilter.__contains__`` +
-``vocabulary.id_of``, the masked piecewise sigmoid, the top-k rule
-counted one score at a time on the stored logits — and demands that
-every verdict, level and recurrent-state byte be identical.  The
-reference computes in the dtype of the network's weights (float32 for a
-trained detector), as the engine does, and refuses a step whose input or
-state is of another dtype.
+lookup for the Bloom verdict and the vocabulary id, one in-place
+``tanh`` over each LSTM layer's fused gate block, and partial ticks
+written back in place.  Offline ``detect()`` runs the same engine, so
+comparing the two cannot catch a numeric drift.  This module keeps the
+reference path — columnar ``transform_columns``, ``signature_of`` +
+``BloomFilter.__contains__`` + ``vocabulary.id_of``, the LSTM gates one
+at a time (σ as ``0.5 * tanh(0.5 * z) + 0.5``), the top-k rule counted
+one score at a time on the stored logits — and demands that every
+verdict, level and recurrent-state byte be identical.  The reference
+computes in the dtype of the network's weights (float32 for a trained
+detector), as the engine does, and refuses a step whose input or state
+is of another dtype.  It also holds the training path's fused
+:func:`~repro.nn.activations.sigmoid` to its masked piecewise form.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from repro.core.timeseries_detector import BatchStreamState
 from repro.experiments.pipeline import run_pipeline
 from repro.ics.features import PID_PARAMETER_NAMES
 from repro.nn.activations import sigmoid
-from repro.nn.lstm import LSTMState
+from repro.nn.lstm import LSTMLayer, LSTMState
 from repro.persistence import load_detector, save_detector
 from repro.scenarios import scenario_names
 
@@ -112,15 +114,16 @@ def reference_in_top_k(scores, target, k):
 
 
 def reference_step(layer, x, state):
-    """``LSTMLayer.step`` with one masked sigmoid call per gate, in the
-    weights' dtype."""
+    """``LSTMLayer.step`` one gate at a time, out of place, in the
+    weights' dtype: σ is ``0.5 * tanh(0.5 * z) + 0.5`` and τ is
+    ``np.tanh``, each taken over its own gate's columns."""
     hidden = layer.hidden_size
     dtype = layer.params["W"].dtype
     assert x.dtype == state.h.dtype == state.c.dtype == dtype
     z = x @ layer.params["W"] + state.h @ layer.params["U"] + layer.params["b"]
-    i = piecewise_sigmoid(z[:, :hidden])
-    f = piecewise_sigmoid(z[:, hidden : 2 * hidden])
-    o = piecewise_sigmoid(z[:, 2 * hidden : 3 * hidden])
+    i = 0.5 * np.tanh(0.5 * z[:, :hidden]) + 0.5
+    f = 0.5 * np.tanh(0.5 * z[:, hidden : 2 * hidden]) + 0.5
+    o = 0.5 * np.tanh(0.5 * z[:, 2 * hidden : 3 * hidden]) + 0.5
     g = np.tanh(z[:, 3 * hidden :])
     c = f * state.c + i * g
     h = o * np.tanh(c)
@@ -489,7 +492,7 @@ class TestVectorizedPid:
 
 
 # ----------------------------------------------------------------------
-# fused sigmoid
+# the training path's fused sigmoid
 # ----------------------------------------------------------------------
 
 
@@ -497,11 +500,14 @@ class TestVectorizedPid:
 FLOATS = (np.float32, np.float64)
 
 
+def as_bits(x):
+    return x.view(f"int{8 * x.itemsize}")
+
+
 def assert_bitwise_sigmoid(x):
     got, want = sigmoid(x), piecewise_sigmoid(x)
     assert got.dtype == want.dtype == x.dtype
-    bits = np.dtype(f"int{8 * x.itemsize}")
-    assert got.view(bits).tolist() == want.view(bits).tolist()
+    assert as_bits(got).tolist() == as_bits(want).tolist()
 
 
 def float_arrays(dtype):
@@ -559,6 +565,156 @@ class TestFusedSigmoid:
     def test_nan_gives_nan(self):
         out = sigmoid(np.array([np.nan, 1.0, -np.nan]))
         assert np.isnan(out[0]) and np.isnan(out[2]) and not np.isnan(out[1])
+
+
+# ----------------------------------------------------------------------
+# the serving step's gate block
+# ----------------------------------------------------------------------
+
+
+def assert_same_floats(got, want):
+    """Bit for bit, except that any NaN matches any NaN."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert np.array_equal(as_bits(got[~nan]), as_bits(want[~nan]))
+
+
+def special_values(dtype):
+    """Signed zeros, infinities, NaN, subnormals and values past the
+    point where ``tanh`` (and so σ) saturates in ``dtype``."""
+    info = np.finfo(dtype)
+    return np.array([
+        0.0, -0.0, np.inf, -np.inf, np.nan,
+        info.smallest_subnormal, -info.smallest_subnormal,
+        info.smallest_normal / 3, -info.smallest_normal / 3,
+        info.smallest_normal, -info.smallest_normal,
+        9.5, -9.5, 19.5, -19.5, 40.0, -40.0, 1e30, -1e30,
+        info.max, -info.max, 1.0, -1.0, 0.25, -3.0,
+    ], dtype=dtype)
+
+
+def gate_layer(dtype, bias, hidden):
+    """A layer whose pre-activation ``z`` is exactly ``bias`` on zero
+    inputs and state: ``W`` and ``U`` are zero."""
+    layer = LSTMLayer(3, hidden, rng=0)
+    layer.params = {
+        "W": np.zeros((3, 4 * hidden), dtype),
+        "U": np.zeros((hidden, 4 * hidden), dtype),
+        "b": np.asarray(bias, dtype),
+    }
+    return layer
+
+
+class TestServingGates:
+    """``LSTMLayer.step`` against the gate-at-a-time reference, and the
+    elementwise facts its one in-place ``tanh`` over the fused
+    ``(B, 4H)`` block relies on."""
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_special_values_match_the_reference(self, dtype):
+        values = special_values(dtype)
+        hidden = len(values)
+        for shift in range(4):
+            # Every value meets every gate, and every cell value.
+            bias = np.roll(np.tile(values, 4), shift * hidden // 4)
+            layer = gate_layer(dtype, bias, hidden)
+            for rows in (1, 3):
+                c = np.tile(np.roll(values, shift), (rows, 1))
+                state = LSTMState(np.zeros((rows, hidden), dtype), c)
+                x = np.zeros((rows, 3), dtype)
+                with np.errstate(invalid="ignore"):  # 0 * inf, inf - inf
+                    h, stepped = layer.step(x, state)
+                    want_h, want = reference_step(layer, x, state)
+                assert_same_floats(h, want_h)
+                assert_same_floats(stepped.c, want.c)
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_saturated_and_special_gates(self, dtype):
+        """σ(±inf) is 1 and 0, σ(±0) is ½, σ(NaN) is NaN, and past
+        saturation σ is exactly 1 or 0."""
+        z = np.array([np.inf, -np.inf, 0.0, -0.0, np.nan, 60.0, -60.0], dtype)
+        hidden = len(z)
+        layer = gate_layer(dtype, np.concatenate([z, z, z, np.ones(hidden)]), hidden)
+        ones = np.ones((1, hidden), dtype)
+        # c = f * 1 + i * tanh(1), h = o * tanh(c): i = f = o = σ(z).
+        h, state = layer.step(np.zeros((1, 3), dtype), LSTMState(ones * 0, ones))
+        sigma = np.array([1.0, 0.0, 0.5, 0.5, np.nan, 1.0, 0.0], dtype)
+        tanh_1 = np.tanh(dtype(1.0))
+        want_c = sigma + sigma * tanh_1
+        assert_same_floats(state.c[0], want_c)
+        assert_same_floats(h[0], sigma * np.tanh(want_c))
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    def test_tanh_sigma_is_within_two_eps_of_training_sigmoid(self, dtype):
+        rng = np.random.default_rng(3)
+        x = np.concatenate([
+            rng.normal(scale=6.0, size=100_000), [0.0, 1e-30, -1e-30, 40.0, -40.0]
+        ]).astype(dtype)
+        gap = np.abs((0.5 * np.tanh(0.5 * x) + 0.5) - sigmoid(x))
+        assert gap.max() <= 2 * np.finfo(dtype).eps
+
+    @pytest.mark.parametrize("dtype", FLOATS)
+    @pytest.mark.parametrize("hidden", [24, 256])
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 64])
+    def test_block_tanh_equals_gate_and_row_tanh(self, dtype, hidden, rows):
+        """``tanh`` of the contiguous ``(B, 4H)`` block, in place or not,
+        is bit for bit ``tanh`` of each gate's columns (strided or
+        copied out) and of each row."""
+        rng = np.random.default_rng(rows * hidden)
+        block = rng.normal(scale=5.0, size=(rows, 4 * hidden)).astype(dtype)
+        specials = special_values(dtype)
+        block.ravel()[rng.integers(0, block.size, size=len(specials))] = specials
+        whole = np.tanh(block)
+        in_place = block.copy()
+        np.tanh(in_place, out=in_place)
+        assert_same_floats(in_place, whole)
+        for gate in range(4):
+            columns = slice(gate * hidden, (gate + 1) * hidden)
+            assert_same_floats(np.tanh(block[:, columns]), whole[:, columns])
+            copied = np.ascontiguousarray(block[:, columns])
+            assert_same_floats(np.tanh(copied), whole[:, columns])
+        for row in range(rows):
+            assert_same_floats(np.tanh(block[row]), whole[row])
+            assert_same_floats(np.tanh(block[row : row + 1]), whole[row : row + 1])
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 5, 64])
+    def test_step_matches_reference_at_every_tick_shape(self, rows):
+        rng = np.random.default_rng(rows)
+        for dtype in FLOATS:
+            layer = LSTMLayer(11, 24, rng=rows)
+            layer.params = {k: v.astype(dtype) for k, v in layer.params.items()}
+            state = LSTMState(
+                rng.normal(size=(rows, 24)).astype(dtype),
+                rng.normal(scale=3.0, size=(rows, 24)).astype(dtype),
+            )
+            before = state.copy()
+            x = rng.normal(size=(rows, 11)).astype(dtype)
+            h, stepped = layer.step(x, state)
+            want_h, want = reference_step(layer, x, state)
+            assert h.tobytes() == want_h.tobytes()
+            assert stepped.c.tobytes() == want.c.tobytes()
+            # The step never writes into the state it was given.
+            assert state.h.tobytes() == before.h.tobytes()
+            assert state.c.tobytes() == before.c.tobytes()
+
+    @pytest.mark.parametrize(
+        "weights, h, c",
+        [
+            (np.float32, np.float64, np.float64),
+            (np.float32, np.float32, np.float64),
+            (np.float32, np.float64, np.float32),
+            (np.float64, np.float32, np.float32),
+        ],
+    )
+    def test_state_of_another_dtype_is_refused(self, weights, h, c):
+        """The in-place sums would round a float64 state to float32
+        weights' precision without a word."""
+        layer = LSTMLayer(3, 4, rng=0)
+        layer.params = {k: v.astype(weights) for k, v in layer.params.items()}
+        state = LSTMState(np.zeros((2, 4), h), np.zeros((2, 4), c))
+        with pytest.raises(ValueError, match="dtype"):
+            layer.step(np.zeros((2, 3), weights), state)
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,9 @@ changes no decision.
 from __future__ import annotations
 
 import asyncio
+import math
 import socket
+import struct
 import threading
 import time
 from collections import deque
@@ -19,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from repro.ics.features import FEATURE_NAMES
 from repro.persistence import (
     SINGLE_LABEL,
     SINGLE_ROUTE,
@@ -35,6 +38,7 @@ from repro.serve.transport import (
     KIND_VERDICT,
     MbapDecoder,
     decode_open_ack,
+    decode_verdict,
     encode_data,
     encode_open,
     wrap_pdu,
@@ -531,6 +535,60 @@ class TestProtocolEdges:
                 assert time.monotonic() < deadline, "crc error never counted"
                 time.sleep(0.01)
             sock.close()
+        finally:
+            handle.stop()
+
+    @pytest.mark.parametrize(
+        "mode, field, position",
+        [
+            ("thread", "address", 0),
+            ("process", "address", 0),
+            ("thread", "time", 1),
+            ("process", "time", 1),
+        ],
+    )
+    def test_record_without_address_or_time_spares_its_shard(
+        self, detector, capture, offline, mode, field, position
+    ):
+        """A DATA record whose ``address`` (or, on a stream's second
+        package, ``time``) is NaN is counted malformed and dropped, like
+        any bad record: the shard keeps judging the sender's retransmit
+        and a bystander stream on the same shard."""
+        handle = start_in_thread(
+            detector, GatewayConfig(num_shards=1, worker_mode=mode)
+        )
+        try:
+            sender, sender_frames, _ = self.open_stream(handle.address, "sender")
+            bystander, bystander_frames, _ = self.open_stream(
+                handle.address, "bystander"
+            )
+            for seq in range(position):
+                sender.sendall(wrap_pdu(encode_data(capture[seq], seq), 2 + seq))
+            poisoned = bytearray(encode_data(capture[position], position))
+            offset = 1 + 4 + 1 + FEATURE_NAMES.index(field) * 8
+            poisoned[offset : offset + 8] = struct.pack(">d", math.nan)
+            sender.sendall(wrap_pdu(bytes(poisoned), 10))
+            # The dropped PDU counts as never received: send it again.
+            sender.sendall(
+                wrap_pdu(encode_data(capture[position], position), 11)
+            )
+            count = 5
+            for seq in range(count):
+                bystander.sendall(wrap_pdu(encode_data(capture[seq], seq), 2 + seq))
+            for sock, decoder, expected in (
+                (bystander, bystander_frames, count),
+                (sender, sender_frames, position + 1),
+            ):
+                frames = collect_frames(sock, decoder, expected, timeout=5.0)
+                verdicts = [decode_verdict(frame.pdu) for frame in frames]
+                assert [frame.kind for frame in frames] == [KIND_VERDICT] * expected
+                assert [seq for seq, _, _ in verdicts] == list(range(expected))
+                assert [anomaly for _, anomaly, _ in verdicts] == (
+                    offline.is_anomaly[:expected].tolist()
+                )
+            assert handle.stats()["malformed"] == 1
+            sender.close()
+            bystander.close()
         finally:
             handle.stop()
 

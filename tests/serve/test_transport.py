@@ -260,6 +260,21 @@ class TestDataRecords:
         with pytest.raises(TransportError):
             decode_data(bytes(pdu))
 
+    @pytest.mark.parametrize("name", ["address", "time"])
+    @pytest.mark.parametrize("encode, decode", [
+        (encode_data, decode_data),
+        (transport.encode_stream_data, transport.decode_stream_data),
+    ])
+    def test_missing_address_or_time_rejected(self, name, encode, decode):
+        """NaN is a missing feature, but the verdict frame needs the
+        address and the interval channel the time: without either the
+        record is malformed, not a package with ``None`` in it."""
+        pdu = bytearray(encode(make_package(), 0))
+        offset = 1 + 4 + 1 + FEATURE_NAMES.index(name) * 8
+        pdu[offset : offset + 8] = struct.pack(">d", math.nan)
+        with pytest.raises(TransportError, match=name):
+            decode(bytes(pdu))
+
     @pytest.mark.parametrize("evil", [float("inf"), float("-inf")])
     def test_infinite_integer_feature_rejected_cleanly(self, evil):
         """±inf in an integer slot must fail as TransportError, not
