@@ -84,7 +84,7 @@ def test_ablation_dynamic_k(benchmark, profile):
 
     def run_policy():
         policy = DynamicKPolicy(initial_k=detector.k)
-        ks = []
+        ks, ranks = [], []
         for fragment in validation:
             codes = discretizer.transform_sequence(fragment)
             engine = detector.engine(1)
@@ -98,15 +98,28 @@ def test_ablation_dynamic_k(benchmark, profile):
                         if identifier is None
                         else rank_of(row.last_probs[0], identifier)
                     )
+                    if rank is not None:
+                        ranks.append(rank)
                     ks.append(policy.observe_rank(rank))
                 engine.observe(stream_id, package)
-        return np.array(ks)
+        return policy.config, np.array(ks), np.array(ranks)
 
-    ks = benchmark.pedantic(run_policy, rounds=1, iterations=1)
+    config, ks, ranks = benchmark.pedantic(run_policy, rounds=1, iterations=1)
+    # A k held at a bound for every package shows the bound, not an
+    # adaptation: say how often each bound held and what the rank
+    # quantile asked for.
+    at_min, at_max = np.mean(ks == config.k_min), np.mean(ks == config.k_max)
     lines = [
         f"fixed k (validation-chosen): {pipeline.artifacts.chosen_k}",
         f"dynamic k: mean={ks.mean():.2f}  min={ks.min()}  max={ks.max()}  "
         f"final={ks[-1]}",
+        f"policy bounds: k_min={config.k_min}  k_max={config.k_max}; "
+        f"k held at k_min for {at_min:.0%} and at k_max for {at_max:.0%} "
+        f"of {len(ks)} judged packages"
+        + ("  (pinned: no adaptation within the bounds)" if max(at_min, at_max) == 1 else ""),
+        f"rank quantile q={config.quantile}: {np.quantile(ranks, config.quantile):.1f} "
+        f"over {len(ranks)} in-vocabulary ranks (k follows q + 1 + slack "
+        f"{config.slack}, clamped to the bounds)",
     ]
     emit_report("ablation_dynamic_k", "\n".join(lines))
     assert ks.min() >= 1

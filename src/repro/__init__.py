@@ -56,7 +56,6 @@ from repro.core import (
     StreamEngine,
     TimeSeriesDetector,
     TimeSeriesDetectorConfig,
-    choose_k,
     evaluate_detection,
     granularity_search,
     per_attack_recall,
@@ -118,7 +117,6 @@ __all__ = [
     "StreamEngine",
     "TimeSeriesDetector",
     "TimeSeriesDetectorConfig",
-    "choose_k",
     "evaluate_detection",
     "granularity_search",
     "per_attack_recall",

@@ -87,7 +87,7 @@ from repro.serve.alerts import (
     stdout_sink,
 )
 from repro.serve.fleet import FleetConfig, FleetRunner, ObsBindError
-from repro.serve.gateway import DetectionGateway, GatewayConfig
+from repro.serve.gateway import DetectionGateway, GatewayConfig, ShardError
 from repro.serve.replay import ReplayClient, ReplayError
 from repro.utils.artifact import ArtifactError, read_meta
 
@@ -756,8 +756,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             # Checkpoint kind / serving mode mismatch (e.g. a routed
-            # checkpoint without --registry): a clean message, not a
-            # traceback.
+            # checkpoint without --registry) or a model version the
+            # registry no longer holds: a clean message, not a traceback.
             raise SystemExit(f"error: {exc}") from exc
         print(f"resumed gateway from {args.checkpoint}")
     elif registry is not None:
@@ -1378,6 +1378,7 @@ def main(argv: list[str] | None = None) -> int:
         FileNotFoundError,
         ConnectionError,
         ReplayError,
+        ShardError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

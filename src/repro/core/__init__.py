@@ -13,11 +13,11 @@
 - :mod:`repro.core.noise` — probabilistic noise training (Section V-3),
 - :mod:`repro.core.timeseries_detector` — the stacked-LSTM top-k
   detector ``F_t`` (Section V),
-- :mod:`repro.core.combined` — the combined framework (Section VI, Fig 3),
+- :mod:`repro.core.combined` — the combined framework (Section VI, Fig 3)
+  and its choice of ``k`` (Fig 6),
 - :mod:`repro.core.stream_engine` — the batched multi-stream engine
   (N concurrent streams, one LSTM step per tick),
-- :mod:`repro.core.tuning` — granularity search (Fig 5) and choice of
-  ``k`` (Fig 6),
+- :mod:`repro.core.tuning` — granularity search (Fig 5),
 - :mod:`repro.core.metrics` — precision/recall/accuracy/F1 and
   per-attack detected ratios (Tables IV and V).
 """
@@ -44,7 +44,7 @@ from repro.core.package_detector import PackageLevelDetector
 from repro.core.signatures import SignatureVocabulary, signature_of
 from repro.core.stream_engine import LEVEL_NAMES, StreamEngine
 from repro.core.timeseries_detector import TimeSeriesDetector, TimeSeriesDetectorConfig
-from repro.core.tuning import GranularitySearchResult, choose_k, granularity_search
+from repro.core.tuning import GranularitySearchResult, granularity_search
 
 __all__ = [
     "BloomFilter",
@@ -72,6 +72,5 @@ __all__ = [
     "TimeSeriesDetector",
     "TimeSeriesDetectorConfig",
     "GranularitySearchResult",
-    "choose_k",
     "granularity_search",
 ]

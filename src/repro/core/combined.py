@@ -50,9 +50,7 @@ class DetectorConfig:
         default_factory=TimeSeriesDetectorConfig
     )
     bloom_false_positive_rate: float = 1e-3
-    theta_package: float = 0.03  # acceptable package-level FP rate (Fig 5)
     theta_timeseries: float = 0.05  # acceptable err_k (Fig 6)
-    auto_choose_k: bool = True
     max_k: int = 10
 
     def validate(self) -> "DetectorConfig":
@@ -63,10 +61,10 @@ class DetectorConfig:
                 "bloom_false_positive_rate must be in (0, 1), got "
                 f"{self.bloom_false_positive_rate}"
             )
-        for name in ("theta_package", "theta_timeseries"):
-            value = getattr(self, name)
-            if not 0 < value < 1:
-                raise ValueError(f"{name} must be in (0, 1), got {value}")
+        if not 0 < self.theta_timeseries < 1:
+            raise ValueError(
+                f"theta_timeseries must be in (0, 1), got {self.theta_timeseries}"
+            )
         if self.max_k < 1:
             raise ValueError(f"max_k must be >= 1, got {self.max_k}")
         return self
@@ -191,10 +189,8 @@ class CombinedDetector:
 
         ks = list(range(1, config.max_k + 1))
         err_curve = timeseries.top_k_errors(validation_codes, ks)
-        chosen_k = config.timeseries.k
-        if config.auto_choose_k:
-            chosen_k = choose_k_from_curve(err_curve, config.theta_timeseries)
-            timeseries.k = chosen_k
+        chosen_k = choose_k_from_curve(err_curve, config.theta_timeseries)
+        timeseries.k = chosen_k
         timeseries.model.cast(SERVING_DTYPE)
 
         artifacts = TrainedArtifacts(

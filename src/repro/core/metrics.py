@@ -14,8 +14,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.ics.attacks import ATTACK_NAMES
-
 
 @dataclass(frozen=True)
 class DetectionMetrics:
@@ -118,30 +116,3 @@ def per_attack_recall(
         ratios[attack_id] = float(y_pred[mask].mean())
     return ratios
 
-
-def format_per_attack_table(ratios_by_model: dict[str, dict[int, float]]) -> str:
-    """Render Table V: rows are attack types, columns are models."""
-    models = list(ratios_by_model)
-    attack_ids = sorted({a for ratios in ratios_by_model.values() for a in ratios})
-    header = f"{'Attack':<8}" + "".join(f"{m:>14}" for m in models)
-    lines = [header, "-" * len(header)]
-    for attack_id in attack_ids:
-        name = ATTACK_NAMES.get(attack_id, str(attack_id))
-        row = f"{name:<8}"
-        for model in models:
-            value = ratios_by_model[model].get(attack_id)
-            row += f"{value:>14.2f}" if value is not None else f"{'-':>14}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def format_metrics_table(metrics_by_model: dict[str, DetectionMetrics]) -> str:
-    """Render Table IV: one row per model."""
-    header = f"{'Model':<16}{'Precision':>10}{'Recall':>10}{'Accuracy':>10}{'F1':>10}"
-    lines = [header, "-" * len(header)]
-    for model, metrics in metrics_by_model.items():
-        lines.append(
-            f"{model:<16}{metrics.precision:>10.2f}{metrics.recall:>10.2f}"
-            f"{metrics.accuracy:>10.2f}{metrics.f1_score:>10.2f}"
-        )
-    return "\n".join(lines)

@@ -8,7 +8,9 @@ Both of the framework's knobs are set without seeing a single anomaly:
   — stays below θ, maximizing the weighted bin count
   ``Σ w_i n_i`` subject to ``f(n_1..n_l) < θ``.
 - **k** (Section V-2 / Fig 6): the smallest ``k`` whose validation top-k
-  error is below θ.
+  error is below θ (:func:`repro.core.combined.choose_k_from_curve`, on
+  the curve :meth:`~repro.core.combined.CombinedDetector.train`
+  computes).
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from repro.core.discretization import (
     FeatureDiscretizer,
 )
 from repro.core.signatures import signature_of
-from repro.core.timeseries_detector import TimeSeriesDetector
 from repro.ics.features import Package
 from repro.utils.rng import SeedLike
 
@@ -159,25 +160,3 @@ def granularity_search(
         best_setpoint_bins=int(best[1]),
     )
 
-
-def choose_k(
-    detector: TimeSeriesDetector,
-    validation_codes: Sequence[Sequence[tuple[int, ...]]],
-    theta: float = 0.05,
-    max_k: int = 10,
-) -> tuple[int, dict[int, float]]:
-    """Smallest ``k`` with validation ``err_k < θ`` plus the full curve.
-
-    The curve is also the Fig.-6 data series.  Falls back to ``max_k``
-    when the threshold is never met.
-    """
-    if theta <= 0 or theta >= 1:
-        raise ValueError(f"theta must be in (0, 1), got {theta}")
-    if max_k < 1:
-        raise ValueError(f"max_k must be >= 1, got {max_k}")
-    ks = list(range(1, max_k + 1))
-    curve = detector.top_k_errors(validation_codes, ks)
-    for k in ks:
-        if curve[k] < theta:
-            return k, curve
-    return max_k, curve

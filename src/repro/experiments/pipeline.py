@@ -150,7 +150,6 @@ def _diagnostics_state(artifacts: TrainedArtifacts) -> dict:
         "top_k_ks": np.array(ks, dtype=np.int64),
         "top_k_errors": np.array([curve[k] for k in ks], dtype=np.float64),
         "losses": np.array(history.losses, dtype=np.float64),
-        "grad_norms": np.array(history.grad_norms, dtype=np.float64),
         "validation_errors": np.array(history.validation_errors, dtype=np.float64),
         "input_size": artifacts.timeseries_report.input_size,
         "num_classes": artifacts.timeseries_report.num_classes,
@@ -170,7 +169,6 @@ def _diagnostics_from_state(state: dict) -> TrainedArtifacts:
         timeseries_report=TimeSeriesTrainingReport(
             history=TrainingHistory(
                 losses=[float(v) for v in np.asarray(state["losses"])],
-                grad_norms=[float(v) for v in np.asarray(state["grad_norms"])],
                 validation_errors=[
                     float(v) for v in np.asarray(state["validation_errors"])
                 ],

@@ -61,14 +61,7 @@ class TrainingHistory:
     """Per-epoch training diagnostics returned by :meth:`fit`."""
 
     losses: list[float] = field(default_factory=list)
-    grad_norms: list[float] = field(default_factory=list)
     validation_errors: list[float] = field(default_factory=list)
-
-    @property
-    def final_loss(self) -> float:
-        if not self.losses:
-            raise ValueError("no epochs recorded")
-        return self.losses[-1]
 
 
 class StackedLSTMClassifier:

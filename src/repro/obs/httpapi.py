@@ -5,7 +5,8 @@ to browsers, scripts and Prometheus scrapers:
 
 ====================  ==================================================
 ``/``                 single-page HTML fleet overview (auto-refreshing)
-``/healthz``          liveness probe: status, uptime and version (JSON)
+``/healthz``          liveness probe: status (``degraded`` once a gateway
+                      shard failed), uptime and version (JSON)
 ``/metrics``          Prometheus text exposition of the metrics registry
 ``/stats``            the gateway's full ``stats()`` dict as JSON
 ``/registry``         published model lineages (routed gateways; JSON)
@@ -126,8 +127,7 @@ class ObsServer:
         self._recent_alerts = recent_alerts
         self._registry = registry
         if registry is None and gateway is not None:
-            router = getattr(gateway, "_router", None)
-            self._registry = getattr(router, "registry", None)
+            self._registry = getattr(gateway, "registry", None)
         # Incident correlator / drift monitors ride the gateway unless
         # attached explicitly (offline post-mortem servers).
         self._incidents = incidents
@@ -367,8 +367,9 @@ class ObsServer:
     def _healthz(self) -> dict[str, Any]:
         from repro import __version__
 
+        failed = getattr(self._gateway, "failed_shards", None)
         return {
-            "status": "ok",
+            "status": "degraded" if failed else "ok",
             "uptime_seconds": round(time.monotonic() - self._started_at, 3),
             "version": __version__,
             "requests": self._requests,

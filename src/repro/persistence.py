@@ -18,8 +18,13 @@ This module gives that split a durable form:
   running :class:`~repro.serve.DetectionGateway`: every shard's engine
   pool keyed by route label, the stream-key route table and, for a
   single-model gateway, its detector.  A single-model gateway is a
-  one-route gateway (:data:`SINGLE_ROUTE`), so both kinds of gateway
+  one-route gateway (:data:`SINGLE_LABEL`), so both kinds of gateway
   share one layout; a registry gateway's file embeds no weights.
+
+A route label names one engine-pool slot everywhere a gateway keys
+one: its pools, a drain's groups, the worker pipe, checkpoints and
+``stats()``.  It is parsed back into ``(scenario, version)`` only where
+a detector must be loaded.
 
 Every format rides the schema-checked artifact container of
 :mod:`repro.utils.artifact`; loads of corrupt, truncated or
@@ -29,7 +34,7 @@ wrong-version files raise :class:`~repro.utils.artifact.ArtifactError`.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
@@ -137,17 +142,12 @@ def checkpoint_meta(path: str | os.PathLike) -> dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# gateway checkpoints: per-shard engine pools keyed by model route
+# gateway checkpoints: per-shard engine pools keyed by route label
 # ----------------------------------------------------------------------
 
-#: Model route of one engine-pool slot: ``(scenario, version)``.
-Route = tuple["str | None", "int | None"]
-
-#: Route of the lone engine slot of a single-model gateway.
-SINGLE_ROUTE: Route = (None, None)
-
-#: Label of that slot.  Routed labels are ``scenario@version`` (always
-#: contain ``@``), so the bare word can never collide with a real route.
+#: Label of the lone engine slot of a single-model gateway.  Routed
+#: labels are ``scenario@version`` (always contain ``@``), so the bare
+#: word can never collide with a real route.
 SINGLE_LABEL = "default"
 
 
@@ -159,10 +159,11 @@ def route_label(scenario: str | None, version: int | None) -> str:
     return f"{scenario}@{int(version)}"
 
 
-def parse_route_label(label: str) -> Route:
-    """Invert :func:`route_label`."""
+def parse_route_label(label: str) -> tuple[str | None, int | None]:
+    """Invert :func:`route_label`: ``(scenario, version)``, or ``(None,
+    None)`` for :data:`SINGLE_LABEL`."""
     if label == SINGLE_LABEL:
-        return SINGLE_ROUTE
+        return None, None
     scenario, sep, version = label.rpartition("@")
     if not sep or not scenario:
         raise ArtifactError(f"malformed route label {label!r}")
@@ -177,12 +178,13 @@ class RouteBinding:
     """One stream key's live home in a gateway: shard, model route and
     engine row.
 
-    Mutable on purpose: a hot-swap rewrites ``version``/``stream_id``/
-    ``seq_base`` in place, and every live session holding the binding
-    follows.  ``seq_base`` counts packages judged by *earlier* model
-    versions on this key, so the stream's resume offset is
-    ``seq_base + packages_seen``.  A single-model gateway binds every
-    key to :data:`SINGLE_ROUTE`.
+    Mutable on purpose: a hot-swap rewrites ``version``/``label``/
+    ``stream_id``/``seq_base`` in place, and every live session holding
+    the binding follows.  ``seq_base`` counts packages judged by
+    *earlier* model versions on this key, so the stream's resume offset
+    is ``seq_base + packages_seen``.  A single-model gateway binds every
+    key to :data:`SINGLE_LABEL`.  ``label`` is the route's pool label,
+    formatted once here rather than per package.
 
     ``protocol`` records the wire dialect the stream last spoke (see
     :mod:`repro.serve.protocols`) — transport provenance, not routing
@@ -195,26 +197,22 @@ class RouteBinding:
     stream_id: int
     seq_base: int = 0
     protocol: str = "modbus"
+    label: str = field(init=False)
 
-    @property
-    def route_key(self) -> Route:
-        return (self.scenario, self.version)
-
-    @property
-    def label(self) -> str:
-        return route_label(self.scenario, self.version)
+    def __post_init__(self) -> None:
+        self.label = route_label(self.scenario, self.version)
 
 
 @dataclass
 class GatewayCheckpoint:
     """A restored gateway: engine pools, route table and meta.
 
-    ``pools`` holds one ``{route: engine}`` dict per shard.  ``detector``
-    is the model of a single-model gateway and ``None`` for a registry
-    gateway.
+    ``pools`` holds one ``{route label: engine}`` dict per shard.
+    ``detector`` is the model of a single-model gateway and ``None`` for
+    a registry gateway.
     """
 
-    pools: list[dict[Route, StreamEngine]]
+    pools: list[dict[str, StreamEngine]]
     bindings: dict[str, RouteBinding]
     meta: dict[str, Any]
     detector: CombinedDetector | None = None
@@ -362,27 +360,28 @@ def load_gateway_checkpoint(
         # operator who asked for registry routing.
         raise ValueError(
             f"{path} is a single-detector checkpoint; it cannot resume "
-            "under registry=/router= — resume it with detector= (or start "
+            "under registry= — resume it with detector= (or start "
             "a fresh registry gateway)"
         )
     if not single and resolver is None:
         raise ValueError(
-            f"{path} is a routed gateway checkpoint; pass registry= (or "
-            "router=) so its model routes can be resolved"
+            f"{path} is a routed gateway checkpoint; pass registry= so its "
+            "model routes can be resolved"
         )
     if single and detector is None:
         detector = CombinedDetector.from_state(state["detector"])
-    detectors: dict[Route, CombinedDetector] = (
-        {SINGLE_ROUTE: detector} if single else {}
+    detectors: dict[str, CombinedDetector] = (
+        {SINGLE_LABEL: detector} if single else {}
     )
-    pools: list[dict[Route, StreamEngine]] = []
+    pools: list[dict[str, StreamEngine]] = []
     for i in range(num_shards):
-        pool: dict[Route, StreamEngine] = {}
+        pool: dict[str, StreamEngine] = {}
         for label, engine_state in shard_states[str(i)].items():
             route = parse_route_label(label)
-            if route not in detectors:
-                detectors[route] = resolver(*route)
-            pool[route] = StreamEngine.from_state(detectors[route], engine_state)
+            label = route_label(*route)  # the canonical spelling
+            if label not in detectors:
+                detectors[label] = resolver(*route)
+            pool[label] = StreamEngine.from_state(detectors[label], engine_state)
         pools.append(pool)
     keys = list(meta.pop("stream_keys", []))
     labels = list(meta.pop("stream_routes", []))
@@ -418,7 +417,7 @@ def load_gateway_checkpoint(
             raise ArtifactError(
                 f"binding {key!r} names missing shard {binding.shard}"
             )
-        engine = pools[binding.shard].get(binding.route_key)
+        engine = pools[binding.shard].get(binding.label)
         if engine is None or binding.stream_id not in engine.stream_ids:
             raise ArtifactError(
                 f"binding {key!r} names stream {binding.stream_id} of route "

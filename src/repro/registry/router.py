@@ -12,8 +12,9 @@ the heterogeneous fleet runner) consult to turn "a stream appeared" into
   as a probe clears the confidence floor; a stream still unidentified
   after :attr:`probe_window` packages is **abstained** — refused, never
   silently misrouted,
-- checkpoint restore and hot-swap load **exact** versions
-  (:meth:`load`), independent of what is active now.
+- a gateway's engines, hot-swapped ones included, load **exact**
+  versions (:meth:`load`), independent of what is active now; a
+  checkpoint restore loads them straight from the registry.
 
 The router is deliberately stateless about streams — the gateway owns
 the live route table (and persists it in its checkpoints); the router
@@ -93,7 +94,7 @@ class ScenarioRouter:
             raise RoutingError(str(exc)) from exc
 
     def load(self, scenario: str, version: int) -> "CombinedDetector":
-        """Exact published version (checkpoint restore, hot-swap)."""
+        """Exact published version (a gateway engine, hot-swap)."""
         try:
             return self.registry.load(scenario, version)
         except RegistryError as exc:

@@ -30,7 +30,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Any
 
-from repro.ics.attacks import ATTACK_NAMES, AttackConfig, AttackInjector
+from repro.ics.attacks import ATTACK_NAMES, AttackConfig
 from repro.ics.plant import Plant, PlantConfig
 from repro.ics.registers import RegisterMap
 from repro.ics.scada import ScadaConfig, ScadaSimulator
@@ -111,18 +111,6 @@ class Scenario:
             plant_factory=lambda rng: self.make_plant(rng=rng, plant_config=plant_config),
             registers=self.registers,
         )
-
-    def make_injector(
-        self,
-        simulator: ScadaSimulator | None = None,
-        attacks: AttackConfig | None = None,
-        rng: SeedLike = None,
-        sim_rng: SeedLike = None,
-    ) -> AttackInjector:
-        """Build the attack injector for this scenario's catalog."""
-        if simulator is None:
-            simulator = self.make_simulator(rng=sim_rng)
-        return AttackInjector(simulator, attacks or self.attacks, rng=rng)
 
     # ------------------------------------------------------------------
     # dataset plumbing

@@ -48,13 +48,21 @@ Architecture
   (:mod:`repro.serve.workers`), so shard compute leaves the loop's GIL.
   Verdicts, checkpoints, hot-swaps and resume offsets are bit-identical
   between the two.
+- Losing one shard does not take the gateway down.  A shard whose
+  drain or pool call raises is failed for good (:class:`ShardError`):
+  its sessions get an ERROR frame and are closed, new stream keys bind
+  to the other shards, which serve on, and no checkpoint is written
+  after it, so the last good one stands.  ``stats()`` names the failed
+  shards, and :meth:`DetectionGateway.stop` raises the first failure
+  once everything is closed.
 
 Heterogeneous serving
 ---------------------
-A gateway built over a :class:`~repro.registry.ModelRegistry` (via
-``registry=`` or a prebuilt :class:`~repro.registry.ScenarioRouter`)
-serves a *mixed fleet*: every stream key is routed at OPEN time to a
-versioned per-scenario detector —
+A gateway built over a :class:`~repro.registry.ModelRegistry`
+(``registry=``, the only model source besides a single ``detector``)
+serves a *mixed fleet*: every stream key is routed at OPEN time, by the
+gateway's own :class:`~repro.registry.ScenarioRouter`, to a versioned
+per-scenario detector —
 
 - an OPEN frame carrying an explicit scenario tag resolves to that
   scenario's active registry version;
@@ -70,11 +78,14 @@ versioned per-scenario detector —
   unbroken.
 
 A single-model gateway is a one-route gateway: every stream binds to
-the pool slot :data:`~repro.persistence.SINGLE_ROUTE`.  Both kinds
-checkpoint their engine pools and route table through
-:func:`repro.persistence.save_gateway_checkpoint`; a single-model file
-also embeds the detector, while a routed restore resolves the exact
-``(scenario, version)`` artifacts from the registry, so fail-over stays
+the pool slot :data:`~repro.persistence.SINGLE_LABEL`.  Every pool,
+drain group and checkpoint keys its engines by that route label
+(``scenario@version`` in a routed gateway), which a binding holds
+ready-made.  Both kinds checkpoint their engine pools and route table
+through :func:`repro.persistence.save_gateway_checkpoint`; a
+single-model file also embeds the detector, while a routed restore
+loads the exact ``(scenario, version)`` artifacts from the registry
+(:meth:`~repro.registry.ModelRegistry.load`), so fail-over stays
 bit-identical in heterogeneous mode too.
 
 The module is std-lib asyncio only; :func:`start_in_thread` runs a
@@ -87,20 +98,20 @@ import asyncio
 import threading
 from collections import deque
 from contextlib import AsyncExitStack
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from time import perf_counter
 from typing import TYPE_CHECKING, Any
 
-from repro.core.stream_engine import WIRE_U32_MAX
+from repro.core.stream_engine import WIRE_U32_MAX, EngineStats
 from repro.ics.modbus import CrcError
 from repro.obs.incidents import IncidentCorrelator
 from repro.obs.monitors import DriftMonitorBank
 from repro.persistence import (
     SINGLE_LABEL,
-    SINGLE_ROUTE,
-    Route,
     RouteBinding,
     load_gateway_checkpoint,
+    parse_route_label,
+    route_label,
     save_gateway_checkpoint,
 )
 from repro.registry.router import RoutingError, ScenarioRouter
@@ -148,27 +159,13 @@ _SETTLE_SECONDS = 5.0
 _SETTLE_POLL_SECONDS = 0.01
 
 
-def _engine_stats_entry(raw: dict[str, Any]) -> dict[str, int]:
-    """Normalize one engine's stats to the canonical EngineStats shape.
-
-    Thread mode reads ``asdict(engine.stats)`` directly; process mode
-    gets the same dict JSON-round-tripped from the worker.  Pinning the
-    key set and value type here keeps ``stats()`` schema-identical
-    across worker modes (asserted by the cross-mode conformance test),
-    even for a shard whose pool reports no engine (a dead worker).
-    """
-    from dataclasses import fields as dataclass_fields
-
-    from repro.core.stream_engine import EngineStats
-
-    return {
-        field.name: int(raw.get(field.name, 0))
-        for field in dataclass_fields(EngineStats)
-    }
-
-
 class ProtocolViolation(Exception):
     """Fatal per-connection protocol error; reported then disconnected."""
+
+
+class ShardError(RuntimeError):
+    """A shard failed: one of its drains or pool calls raised (the
+    cause).  It serves no more packages; the other shards go on."""
 
 
 @dataclass(frozen=True)
@@ -274,28 +271,28 @@ def take_ticks(
     only unique within one engine of the pool.  One pass over
     ``pending`` builds every tick.
 
-    Returns every taken tick's ``(route, {stream_id: item})`` groups,
+    Returns every taken tick's ``(label, {stream_id: item})`` groups,
     concatenated in tick order, each tick's row count, and the packages
     of the ticks not taken, in queue order.  The drain stops after the
     tick that spends ``budget`` rows (``None``: no limit), and before a
     tick that would take it past ``max_groups`` groups.
     """
-    ticks: list[dict[Route, dict[int, tuple]]] = []
+    ticks: list[dict[str, dict[int, tuple]]] = []
     sizes: list[int] = []
     placed: list[int] = []  # the tick of each pending package
-    earlier: dict[tuple[Route, int], int] = {}
+    earlier: dict[tuple[str, int], int] = {}
     for item in pending:
         route = item[0].route
-        key = route.route_key
-        tick = earlier.get((key, route.stream_id), 0)
-        earlier[(key, route.stream_id)] = tick + 1
+        label = route.label
+        tick = earlier.get((label, route.stream_id), 0)
+        earlier[(label, route.stream_id)] = tick + 1
         if tick == len(ticks):
             ticks.append({})
             sizes.append(0)
-        ticks[tick].setdefault(key, {})[route.stream_id] = item
+        ticks[tick].setdefault(label, {})[route.stream_id] = item
         sizes[tick] += 1
         placed.append(tick)
-    batches: list[tuple[Route, dict[int, tuple]]] = []
+    batches: list[tuple[str, dict[int, tuple]]] = []
     counts: list[int] = []
     for groups, size in zip(ticks, sizes):
         if batches and len(batches) + len(groups) > max_groups:
@@ -324,6 +321,11 @@ class _Shard:
     in order, so it steps through exactly the ticks it would run one
     call at a time.  A drain ends early at the tick where a periodic
     checkpoint falls due and at the OBSERVE frame's group limit.
+
+    A drain or pool call that raises fails the shard for good
+    (:meth:`DetectionGateway._fail`): ``failure`` holds the error, and
+    the worker goes on taking its queue only to refuse each package's
+    session, so a reader parked on the full queue wakes up.
     """
 
     def __init__(self, gateway: "DetectionGateway", index: int,
@@ -365,19 +367,28 @@ class _Shard:
         #: Thread-mode holders never yield, so there it is never
         #: contended.
         self.lock = asyncio.Lock()
+        #: Why the shard stopped serving; ``None`` while it serves.
+        self.failure: ShardError | None = None
 
     async def run(self) -> None:
-        """Take what the queue holds, drain it, repeat forever."""
-        while True:
-            items = [await self.queue.get()]
+        """Take what the queue holds, drain it, repeat until a drain
+        raises; then refuse every package still queued or yet to come."""
+        try:
             while True:
-                try:
-                    items.append(self.queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            pending = deque(items)
-            while pending:
-                pending = await self._drain(pending)
+                items = [await self.queue.get()]
+                while True:
+                    try:
+                        items.append(self.queue.get_nowait())
+                    except asyncio.QueueEmpty:
+                        break
+                pending = deque(items)
+                while pending:
+                    pending = await self._drain(pending)
+        except Exception as exc:  # noqa: BLE001 - recorded as the shard's failure
+            self.gateway._fail(self, exc)
+        while True:
+            session = (await self.queue.get())[0]
+            self.gateway._refuse(session, str(self.failure))
 
     def _take_ticks(self, pending: deque) -> tuple[list, list[int], deque]:
         """This drain's ticks of ``pending`` (:func:`take_ticks`), cut at
@@ -386,7 +397,9 @@ class _Shard:
         call, and at the OBSERVE frame's group limit."""
         gateway = self.gateway
         every = gateway.config.checkpoint_every
-        budget = every - gateway._since_checkpoint if every else None
+        budget = None
+        if every and not gateway._failures:
+            budget = every - gateway._since_checkpoint
         return take_ticks(pending, budget, OBSERVE_MAX_GROUPS)
 
     async def _drain(self, pending: deque) -> deque:
@@ -397,15 +410,14 @@ class _Shard:
         async with self.lock:
             batches, counts, pending = self._take_ticks(pending)
             picked = perf_counter() if traced else 0.0
-            results, stages = await self.pool.observe(
+            results, seconds = await self.pool.observe(
                 [
-                    (route, {sid: item[2] for sid, item in by_stream.items()})
-                    for route, by_stream in batches
-                ],
-                traced,
+                    (label, {sid: item[2] for sid, item in by_stream.items()})
+                    for label, by_stream in batches
+                ]
             )
-        if stages is not None:
-            self._attribute(batches, stages, picked)
+        if traced:
+            self._attribute(batches, seconds, picked)
         # Account before delivery: a write can flush to the socket
         # synchronously, so this ordering guarantees a client can never
         # observe a verdict the gateway's own counters don't cover yet.
@@ -427,37 +439,44 @@ class _Shard:
                 self._h_batch.observe(count)
         return pending
 
-    @staticmethod
-    def _attribute(batches: list, stages: list[dict], picked: float) -> None:
+    def _attribute(self, batches: list, seconds: list[float], picked: float) -> None:
         """Stamp each traced package's queue and compute stages.
 
-        A package waits in ``queue`` from its enqueue until its own group
-        starts: the drain's pickup plus the compute of the groups before
-        it (in process mode, their worker seconds from the OBSERVE
-        trailer; the pipe is one cost shared by the whole call).  Its
-        span's mark then moves to the end of its group's compute, so
+        A group's compute is its engine seconds: ``tick`` in thread
+        mode; in process mode ``worker``, from the OBSERVE trailer, plus
+        ``pipe``, whatever the round trip spent beyond the call's total
+        compute, one cost shared by every group.  A package waits in
+        ``queue`` from its enqueue until its own group starts: the
+        drain's pickup plus the engine seconds of the groups before it.
+        Its span's mark then moves to the end of its group's compute, so
         ``deliver`` covers the later groups, the frame writes and the
         fan-out up to its own.
         """
+        pipe = None
+        if isinstance(self.pool, WorkerPool):
+            pipe = max(0.0, perf_counter() - picked - sum(seconds))
         waited = 0.0
-        for (_, by_stream), stage in zip(batches, stages):
-            computed = sum(stage.values())
+        for (_, by_stream), engine in zip(batches, seconds):
+            if pipe is None:
+                stage, computed = {"tick": engine}, engine
+            else:
+                stage, computed = {"worker": engine, "pipe": pipe}, engine + pipe
             for item in by_stream.values():
                 span = item[3]
                 if span is not None:
                     span.stages["queue"] = picked + waited - span.mark
                     span.stages.update(stage)
                     span.mark = picked + waited + computed
-            waited += stage.get("tick", 0.0) + stage.get("worker", 0.0)
+            waited += engine
 
 
 class DetectionGateway:
     """Async Modbus/TCP server multiplexing sessions onto sharded engines.
 
     Built either over one trained ``detector`` (homogeneous: every
-    stream is scored by that model) or over a model ``registry`` /
-    ``router`` (heterogeneous: every stream is routed to its scenario's
-    versioned artifact, with auto-identification and hot-swap).
+    stream is scored by that model) or over a model ``registry``
+    (heterogeneous: every stream is routed to its scenario's versioned
+    artifact, with auto-identification and hot-swap).
     """
 
     def __init__(
@@ -467,26 +486,26 @@ class DetectionGateway:
         alerts: AlertPipeline | None = None,
         *,
         registry: "ModelRegistry | None" = None,
-        router: ScenarioRouter | None = None,
         model_info: dict[str, Any] | None = None,
         metrics: "MetricsRegistry | None" = None,
         historian: "Historian | None" = None,
         incidents: "IncidentCorrelator | bool | None" = None,
         monitors: "DriftMonitorBank | bool | None" = None,
         tracer: "Tracer | None" = None,
-        _pools: "list[dict[Route, StreamEngine]] | None" = None,
+        _pools: "list[dict[str, StreamEngine]] | None" = None,
         _routes: "dict[str, RouteBinding] | None" = None,
     ) -> None:
         self.config = (config or GatewayConfig()).validate()
-        if router is None and registry is not None:
-            router = ScenarioRouter(registry)
-        if (detector is None) == (router is None):
+        if (detector is None) == (registry is None):
             raise ValueError(
                 "pass exactly one of detector= (homogeneous) or "
-                "registry=/router= (heterogeneous)"
+                "registry= (heterogeneous)"
             )
         self.detector = detector
-        self._router = router
+        #: The model registry of a routed gateway; ``None`` for a single
+        #: detector.
+        self.registry = registry
+        self._router = None if registry is None else ScenarioRouter(registry)
         self.alerts = alerts if alerts is not None else AlertPipeline()
         self._model_info = dict(model_info) if model_info else None
         #: Optional observability hooks — all pure observers: none of
@@ -539,7 +558,7 @@ class DetectionGateway:
             # A single-detector pool always holds its one slot, so every
             # shard has an engine to checkpoint even before any stream.
             _pools = [
-                {SINGLE_ROUTE: detector.engine(0)} if router is None else {}
+                {SINGLE_LABEL: detector.engine(0)} if registry is None else {}
                 for _ in range(self.config.num_shards)
             ]
         elif len(_pools) != self.config.num_shards:
@@ -577,6 +596,8 @@ class DetectionGateway:
         self._abstained = 0
         self._done = asyncio.Event()
         self._stopped = False
+        #: Each failed shard's :class:`ShardError`, in order of failure.
+        self._failures: list[ShardError] = []
         #: Serializes checkpoint writers (any shard's tick may trigger
         #: one) and re-checks dueness under the lock.
         self._checkpoint_lock = asyncio.Lock()
@@ -597,7 +618,6 @@ class DetectionGateway:
         alerts: AlertPipeline | None = None,
         detector: "CombinedDetector | None" = None,
         registry: "ModelRegistry | None" = None,
-        router: ScenarioRouter | None = None,
         model_info: dict[str, Any] | None = None,
         metrics: "MetricsRegistry | None" = None,
         historian: "Historian | None" = None,
@@ -610,25 +630,26 @@ class DetectionGateway:
         The shard count is part of the checkpointed topology, so it
         overrides ``config.num_shards``.  Single-detector checkpoints
         optionally take ``detector`` to skip the embedded copy; routed
-        checkpoints *require* ``registry=`` (or a prebuilt ``router=``)
-        to resolve the exact ``(scenario, version)`` artifacts their
-        engine pools reference.  ``model_info`` defaults to the one the
-        checkpointed gateway served with.  ``incidents``/``monitors``
+        checkpoints *require* ``registry=`` to load the exact
+        ``(scenario, version)`` artifacts their engine pools reference
+        (:meth:`~repro.registry.ModelRegistry.load`; a version the
+        registry no longer holds is a
+        :class:`~repro.registry.RegistryError`).  ``model_info``
+        defaults to the one the checkpointed gateway served with.
+        ``incidents``/``monitors``
         mirror the constructor (pass ``False`` to keep a plane disabled
         on resume — checkpoint meta for a disabled plane is ignored, not
         lost).
         """
-        if router is None and registry is not None:
-            router = ScenarioRouter(registry)
         restored = load_gateway_checkpoint(
-            path, detector, None if router is None else router.load
+            path, detector, None if registry is None else registry.load
         )
         meta = restored.meta
         gateway = cls(
             restored.detector,
             replace(config or GatewayConfig(), num_shards=len(restored.pools)),
             alerts,
-            router=router,
+            registry=registry,
             model_info=meta.get("model") if model_info is None else model_info,
             metrics=metrics,
             historian=historian,
@@ -680,19 +701,11 @@ class DetectionGateway:
         to a worker, which rebuilds the same pool there.
         """
         model: dict[str, Any]
-        if self._router is None:
+        if self.registry is None:
             assert self.detector is not None
             model = {"detector": self.detector.state_dict()}
         else:
-            registry = getattr(self._router, "registry", None)
-            root = getattr(registry, "root", None)
-            if root is None:
-                raise ValueError(
-                    "worker_mode='process' requires a registry-backed "
-                    "router: worker processes re-load model artifacts "
-                    "from the registry root"
-                )
-            model = {"registry_root": str(root)}
+            model = {"registry_root": str(self.registry.root)}
         payloads = [
             encode_call("init", pool=await shard.pool.snapshot(), **model)
             for shard in self._shards
@@ -743,7 +756,7 @@ class DetectionGateway:
                     loop.call_soon_threadsafe(self._maybe_swap, scenario)
 
                 self._registry_listener = listener
-                self._router.registry.subscribe(listener)
+                self.registry.subscribe(listener)
                 if self.config.registry_poll_seconds > 0:
                     self._workers.append(loop.create_task(self._watch_registry()))
             self._server = await asyncio.start_server(
@@ -800,13 +813,15 @@ class DetectionGateway:
 
         Every shard pool is closed, the alert pipeline closed and the
         historian flushed even when the final checkpoint or a pool call
-        fails; the first such error is raised afterwards.
+        fails.  Afterwards the first shard failure is raised (a
+        :class:`ShardError`; a gateway with a failed shard writes no
+        shutdown checkpoint), or else the first such error.
         """
         if self._stopped:
             return
         self._stopped = True
-        if self._router is not None and self._registry_listener is not None:
-            self._router.registry.unsubscribe(self._registry_listener)
+        if self._registry_listener is not None:
+            self.registry.unsubscribe(self._registry_listener)
             self._registry_listener = None
         if self._server is not None:
             self._server.close()
@@ -841,6 +856,8 @@ class DetectionGateway:
                     # once the gateway is down, but the owner may keep
                     # querying it.
                     self.historian.flush()
+        if self._failures:
+            raise self._failures[0]
         for outcome in closed:
             if isinstance(outcome, BaseException):
                 raise outcome
@@ -1020,9 +1037,15 @@ class DetectionGateway:
     async def _route_packages_seen(
         self, shard: _Shard, route: RouteBinding
     ) -> int:
-        """Lifetime package count of one route's current engine row."""
-        async with shard.lock:
-            return await shard.pool.seen(route.route_key, route.stream_id)
+        """Lifetime package count of one route's current engine row; an
+        OPEN on a failed shard is refused."""
+        if shard.failure is None:
+            try:
+                async with shard.lock:
+                    return await shard.pool.seen(route.label, route.stream_id)
+            except Exception as exc:  # noqa: BLE001 - fails the shard
+                self._fail(shard, exc)
+        raise ProtocolViolation(str(shard.failure))
 
     async def _bind(
         self,
@@ -1046,14 +1069,20 @@ class DetectionGateway:
             except RoutingError as exc:
                 raise ProtocolViolation(str(exc)) from exc
             scenario, version = entry.scenario, entry.version
-        # Least-loaded shard (ties to the lowest index) keeps the
+        # Least-loaded live shard (ties to the lowest index) keeps the
         # per-tick batches balanced as keys come and go.  The shard is
         # reserved before the ATTACH await, so OPENs binding concurrently
         # see each other's choice; a failed ATTACH gives it back.
-        shard = min(self._shards, key=lambda s: (s.bound_streams, s.index))
+        live = [shard for shard in self._shards if shard.failure is None]
+        if not live:
+            raise ProtocolViolation(f"every shard failed: {self._failures[0]}")
+        shard = min(live, key=lambda s: (s.bound_streams, s.index))
         shard.bound_streams += 1
         try:
-            stream_id = await shard.pool.attach((scenario, version))
+            stream_id = await shard.pool.attach(route_label(scenario, version))
+        except Exception as exc:  # noqa: BLE001 - fails the shard
+            shard.bound_streams -= 1
+            raise ProtocolViolation(str(self._fail(shard, exc))) from exc
         except BaseException:
             shard.bound_streams -= 1
             raise
@@ -1159,14 +1188,12 @@ class DetectionGateway:
     # model resolution & hot-swap
     # ------------------------------------------------------------------
 
-    def _detector_for(self, route_key: Route) -> "CombinedDetector":
+    def _detector_for(self, label: str) -> "CombinedDetector":
         """The trained framework behind one pool slot."""
         if self._router is None:
             assert self.detector is not None
             return self.detector
-        scenario, version = route_key
-        assert scenario is not None and version is not None
-        return self._router.load(scenario, version)
+        return self._router.load(*parse_route_label(label))
 
     def request_promote(self, scenario: str) -> None:
         """Thread-safe: re-check a scenario's active version and hot-swap.
@@ -1215,6 +1242,8 @@ class DetectionGateway:
         swapped = 0
         try:
             for shard in self._shards:
+                if shard.failure is not None:
+                    continue
                 async with shard.lock:
                     for route in list(self._bindings.values()):
                         if (
@@ -1229,6 +1258,7 @@ class DetectionGateway:
                         route.seq_base += old_seen
                         route.stream_id = new_id
                         route.version = version
+                        route.label = route_label(scenario, version)
                         swapped += 1
         except WorkerError:
             if not self._stopped:  # shutdown races are expected
@@ -1337,6 +1367,7 @@ class DetectionGateway:
         cfg = self.config
         return bool(
             cfg.checkpoint_every
+            and not self._failures
             and self._since_checkpoint >= cfg.checkpoint_every
         )
 
@@ -1355,9 +1386,13 @@ class DetectionGateway:
         copies every array, so the write can leave the event loop while
         ticks go on.  Both worker modes write the same on-disk format,
         so checkpoints are interchangeable across modes.
+
+        Nothing is written once a shard has failed, so the last good
+        checkpoint stands; a snapshot that raises fails its own shard,
+        never the drain that made the checkpoint due.
         """
         path = self.config.checkpoint_path
-        if not path:
+        if not path or self._failures:
             return
         started = perf_counter()
         async with AsyncExitStack() as stack:
@@ -1378,7 +1413,13 @@ class DetectionGateway:
             bindings = {
                 key: replace(route) for key, route in self._bindings.items()
             }
-            pools = [await shard.pool.snapshot() for shard in self._shards]
+            pools = []
+            for shard in self._shards:
+                try:
+                    pools.append(await shard.pool.snapshot())
+                except Exception as exc:  # noqa: BLE001 - fails the shard
+                    self._fail(shard, exc)
+                    return
             self._since_checkpoint = 0
         await asyncio.to_thread(
             save_gateway_checkpoint,
@@ -1391,6 +1432,43 @@ class DetectionGateway:
         self._checkpoints_written += 1
         if self._m_checkpoint_timer is not None:
             self._m_checkpoint_timer.observe(perf_counter() - started)
+
+    # ------------------------------------------------------------------
+    # shard failure
+    # ------------------------------------------------------------------
+
+    def _fail(self, shard: _Shard, exc: BaseException) -> ShardError:
+        """Fail ``shard`` for good with ``exc`` as the cause and refuse
+        every live session on it; returns the shard's failure."""
+        if shard.failure is None:
+            detail = str(exc).strip().splitlines() or [""]
+            failure = ShardError(
+                f"shard {shard.index} failed: {type(exc).__name__}: {detail[-1]}"
+            )
+            failure.__cause__ = exc
+            shard.failure = failure
+            self._failures.append(failure)
+            for session in list(self._live.values()):
+                if session.shard is shard:
+                    self._refuse(session, str(failure))
+        return shard.failure
+
+    def _refuse(self, session: _Session, message: str) -> None:
+        """Send ``message`` as an ERROR frame in the session's dialect,
+        write nothing after it, and close the connection."""
+        session.send(session.adapter.frame_error(message), self.config.max_write_buffer)
+        session.evicted = True
+        session.writer.close()
+
+    @property
+    def failed_shards(self) -> list[dict[str, Any]]:
+        """``{"shard": index, "error": message}`` of every failed shard,
+        in shard order."""
+        return [
+            {"shard": shard.index, "error": str(shard.failure)}
+            for shard in self._shards
+            if shard.failure is not None
+        ]
 
     # ------------------------------------------------------------------
 
@@ -1412,7 +1490,9 @@ class DetectionGateway:
         ``routes`` names, for every stream key, the scenario + artifact
         version of the model scoring its verdicts (plus shard, engine
         row and lifetime package count) — the audit trail a mixed fleet
-        needs.
+        needs.  ``failed_shards`` lists the shards that stopped serving
+        (:attr:`failed_shards`); a shard whose pool reports no engine (a
+        dead worker) counts zeros in ``shards``.
         """
         pools = [shard.pool.stats() for shard in self._shards]
         routes: dict[str, dict[str, Any]] = {}
@@ -1445,6 +1525,7 @@ class DetectionGateway:
             },
             "checkpoints_written": self._checkpoints_written,
             "peak_queue_depth": self._peak_queue_depth,
+            "failed_shards": self.failed_shards,
             "routes": routes,
             "alerts": self.alerts.stats(),
         }
@@ -1456,17 +1537,14 @@ class DetectionGateway:
             stats["tracing"] = self.tracer.stats()
         if self._router is None:
             stats["shards"] = [
-                _engine_stats_entry(pool.get(SINGLE_LABEL, {}).get("stats", {}))
+                pool[SINGLE_LABEL]["stats"] if pool else asdict(EngineStats())
                 for pool in pools
             ]
             if self._model_info:
                 stats["model"] = dict(self._model_info)
         else:
             stats["shards"] = [
-                {
-                    label: _engine_stats_entry(entry["stats"])
-                    for label, entry in sorted(pool.items())
-                }
+                {label: entry["stats"] for label, entry in sorted(pool.items())}
                 for pool in pools
             ]
             stats["swaps_applied"] = self._swaps_applied

@@ -1,10 +1,12 @@
 """Shard engine pools, on the event loop or in worker OS processes.
 
 Every gateway shard owns one :class:`EnginePool`: its streams' engines
-keyed by model route, ``(scenario, version)`` in a routed gateway and
-the single slot ``(None, None)`` in a single-detector one.  The gateway
-talks to every shard through the pool's async interface, whatever the
-backend:
+keyed by route label (:func:`~repro.persistence.route_label`),
+``scenario@version`` in a routed gateway and the single slot
+:data:`SINGLE_LABEL` in a single-detector one.  The same label keys a
+drain's groups, the pipe's frames and the pool's snapshots and stats;
+only loading a detector parses it.  The gateway talks to every shard
+through the pool's async interface, whatever the backend:
 
 - ``worker_mode="thread"``: the shard awaits its :class:`EnginePool`
   directly on the event loop.  The pool's ops are coroutines that never
@@ -20,10 +22,10 @@ backend:
 
 Either way the pool runs a drain as **one engine pass per engine**
 (:meth:`~repro.core.stream_engine.StreamEngine.observe_ticks`): it
-regroups the drain's ``(route, {stream_id: package})`` groups by route,
+regroups the drain's ``(label, {stream_id: package})`` groups by label,
 each engine takes its groups as successive ticks, and the results come
-back in group order.  A traced drain splits each pass's seconds over
-its groups by rows.
+back in group order, with each group's engine seconds: its pass split
+over the pass's groups by rows.
 
 The channel is **pickle-free** and carries two frame shapes:
 
@@ -66,15 +68,9 @@ from dataclasses import asdict
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable
 
-# The route codec is shared with checkpoints; SINGLE_LABEL and
-# SINGLE_ROUTE stay importable from here.
-from repro.persistence import (
-    SINGLE_LABEL,
-    SINGLE_ROUTE,
-    Route,
-    parse_route_label,
-    route_label,
-)
+# The route codec is shared with checkpoints; SINGLE_LABEL stays
+# importable from here.
+from repro.persistence import SINGLE_LABEL, parse_route_label, route_label
 from repro.serve.transport import decode_stream_data, encode_stream_data
 from repro.utils.artifact import ArtifactError, state_from_bytes, state_to_bytes
 
@@ -118,7 +114,7 @@ class WorkerError(RuntimeError):
 
 
 class EnginePool:
-    """One shard's engines, keyed by model route and created on first use.
+    """One shard's engines, keyed by route label and created on first use.
 
     The ops are coroutines so that this pool and :class:`WorkerPool`
     share one interface, but none of them ever suspends: awaited on the
@@ -127,60 +123,55 @@ class EnginePool:
 
     def __init__(
         self,
-        detector_for: "Callable[[Route], CombinedDetector]",
-        engines: "dict[Route, StreamEngine] | None" = None,
+        detector_for: "Callable[[str], CombinedDetector]",
+        engines: "dict[str, StreamEngine] | None" = None,
     ) -> None:
         self._detector_for = detector_for
-        self.engines: "dict[Route, StreamEngine]" = dict(engines or {})
+        self.engines: "dict[str, StreamEngine]" = dict(engines or {})
 
-    def _engine(self, route: Route) -> "StreamEngine":
-        engine = self.engines.get(route)
+    def _engine(self, label: str) -> "StreamEngine":
+        engine = self.engines.get(label)
         if engine is None:
-            engine = self.engines[route] = self._detector_for(route).engine(0)
+            engine = self.engines[label] = self._detector_for(label).engine(0)
         return engine
 
     async def observe(
-        self,
-        groups: "list[tuple[Route, dict[int, Package]]]",
-        traced: bool = False,
-    ) -> tuple[list, "list[dict[str, float]] | None"]:
-        """Run ``(route, {stream_id: package})`` groups, one pass per engine.
+        self, groups: "list[tuple[str, dict[int, Package]]]"
+    ) -> tuple[list, list[float]]:
+        """Run ``(label, {stream_id: package})`` groups, one pass per engine.
 
-        The groups are successive ticks in list order, and a route may
-        repeat: a later group of the same route is that engine's next
+        The groups are successive ticks in list order, and a label may
+        repeat: a later group of the same label is that engine's next
         tick.  Each engine runs its groups as one
         :meth:`~repro.core.stream_engine.StreamEngine.observe_ticks`
-        pass; engines share no state, so only the order within a route
+        pass; engines share no state, so only the order within a label
         matters.  Returns each group's ``(verdicts, levels)`` in group
-        order and, when ``traced``, each group's trace stages:
-        ``{"tick": seconds}``, its engine's pass split over the pass's
-        groups by rows.
+        order and each group's engine seconds: its engine's pass split
+        over the pass's groups by rows.
         """
-        passes: "dict[Route, list[int]]" = {}
-        for index, (route, _) in enumerate(groups):
-            passes.setdefault(route, []).append(index)
-        engines = {route: self.engines[route] for route in passes}
+        passes: "dict[str, list[int]]" = {}
+        for index, (label, _) in enumerate(groups):
+            passes.setdefault(label, []).append(index)
+        engines = {label: self.engines[label] for label in passes}
         results: list = [None] * len(groups)
-        stages: list | None = [None] * len(groups) if traced else None
-        for route, indices in passes.items():
-            started = perf_counter() if traced else 0.0
-            answers = engines[route].observe_ticks([groups[i][1] for i in indices])
+        seconds = [0.0] * len(groups)
+        for label, indices in passes.items():
+            started = perf_counter()
+            answers = engines[label].observe_ticks([groups[i][1] for i in indices])
+            elapsed = perf_counter() - started
+            rows = sum(len(groups[i][1]) for i in indices) or 1
             for index, answer in zip(indices, answers):
                 results[index] = answer
-            if stages is not None:
-                seconds = perf_counter() - started
-                rows = sum(len(groups[i][1]) for i in indices) or 1
-                for index in indices:
-                    stages[index] = {"tick": seconds * len(groups[index][1]) / rows}
-        return results, stages
+                seconds[index] = elapsed * len(groups[index][1]) / rows
+        return results, seconds
 
-    async def attach(self, route: Route) -> int:
-        """Attach a fresh stream to the route's engine; returns its id."""
-        return self._engine(route).attach()
+    async def attach(self, label: str) -> int:
+        """Attach a fresh stream to the label's engine; returns its id."""
+        return self._engine(label).attach()
 
-    async def seen(self, route: Route, stream_id: int) -> int:
+    async def seen(self, label: str, stream_id: int) -> int:
         """Lifetime package count of one stream."""
-        return self.engines[route].packages_seen(stream_id)
+        return self.engines[label].packages_seen(stream_id)
 
     async def swap(
         self, scenario: str, old_version: int, new_version: int, stream_id: int
@@ -192,36 +183,33 @@ class EnginePool:
         left without streams holds only dead recurrent state and is
         dropped.
         """
-        old_route = (scenario, old_version)
-        old_engine = self.engines[old_route]
+        old_label = route_label(scenario, old_version)
+        old_engine = self.engines[old_label]
         # Load before detaching: a failed load leaves the stream in place.
-        new_engine = self._engine((scenario, new_version))
+        new_engine = self._engine(route_label(scenario, new_version))
         old_seen = old_engine.packages_seen(stream_id)
         old_engine.detach(stream_id)
         new_id = new_engine.attach()
         if old_engine.num_streams == 0:
-            del self.engines[old_route]
+            del self.engines[old_label]
         return new_id, old_seen
 
     async def snapshot(self) -> dict[str, dict[str, Any]]:
         """``{pool label: engine state dict}``; the arrays are copies."""
-        return {
-            route_label(*route): engine.state_dict()
-            for route, engine in self.engines.items()
-        }
+        return {label: engine.state_dict() for label, engine in self.engines.items()}
 
     def stats(self) -> dict[str, dict[str, Any]]:
         """``{pool label: {"stats": EngineStats dict, "streams":
         {str(stream id): packages seen}}}`` — JSON-ready as it stands."""
         return {
-            route_label(*route): {
+            label: {
                 "stats": asdict(engine.stats),
                 "streams": {
                     str(sid): engine.packages_seen(sid)
                     for sid in engine.stream_ids
                 },
             }
-            for route, engine in self.engines.items()
+            for label, engine in self.engines.items()
         }
 
     async def close(self) -> None:
@@ -382,7 +370,7 @@ def _init_pool(msg: bytes) -> EnginePool:
 
         detector = CombinedDetector.from_state(detector_state)
 
-        def detector_for(route: Route) -> "CombinedDetector":
+        def detector_for(label: str) -> "CombinedDetector":
             return detector
 
     else:
@@ -390,25 +378,21 @@ def _init_pool(msg: bytes) -> EnginePool:
 
         registry = ModelRegistry(root)
 
-        def detector_for(route: Route) -> "CombinedDetector":
-            scenario, version = route
-            assert scenario is not None and version is not None
-            return registry.load(scenario, version)
+        def detector_for(label: str) -> "CombinedDetector":
+            return registry.load(*parse_route_label(label))
 
-    engines = {}
-    for label, state in args["pool"].items():
-        route = parse_route_label(label)
-        engines[route] = StreamEngine.from_state(detector_for(route), state)
+    engines = {
+        label: StreamEngine.from_state(detector_for(label), state)
+        for label, state in args["pool"].items()
+    }
     return EnginePool(detector_for, engines)
 
 
 #: The control calls a worker serves on its pool, by name.  Each takes
 #: the call's keyword arguments and returns a state-dict leaf.
 _CALLS: dict[str, Callable[..., Any]] = {
-    "attach": lambda pool, label: _complete(pool.attach(parse_route_label(label))),
-    "seen": lambda pool, label, stream_id: _complete(
-        pool.seen(parse_route_label(label), stream_id)
-    ),
+    "attach": lambda pool, label: _complete(pool.attach(label)),
+    "seen": lambda pool, label, stream_id: _complete(pool.seen(label, stream_id)),
     "swap": lambda pool, **args: list(_complete(pool.swap(**args))),
     "snapshot": lambda pool: _complete(pool.snapshot()),
     "stats": lambda pool: pool.stats(),
@@ -445,16 +429,16 @@ def _serve_observe(pool: EnginePool, msg: memoryview) -> bytes:
             offset += _U32.size
             record, offset = _get_block(msg, offset)
             batch[stream_id] = decode_stream_data(record).package
-        groups.append((parse_route_label(label), batch))
-    results, stages = _complete(pool.observe(groups, traced=True))
+        groups.append((label, batch))
+    results, seconds = _complete(pool.observe(groups))
     out = bytearray(OP_OBSERVE.lower())
     for verdicts, levels in results:
         for verdict, level in zip(verdicts, levels):
             out += bytes((1 if verdict else 0, int(level) & 0xFF))
-    # Trailer: per-group engine seconds (the pool's "tick" stage), so the
-    # gateway can split worker compute from pipe round-trip in traces.
-    out += _U16.pack(len(stages))
-    out += struct.pack(f">{len(stages)}d", *(stage["tick"] for stage in stages))
+    # Trailer: per-group engine seconds, so the gateway can split worker
+    # compute from pipe round-trip in traces.
+    out += _U16.pack(len(seconds))
+    out += struct.pack(f">{len(seconds)}d", *seconds)
     return bytes(out)
 
 
@@ -640,21 +624,14 @@ class WorkerPool:
         self._final_stats: dict[str, dict[str, Any]] | None = None
 
     async def observe(
-        self,
-        groups: "list[tuple[Route, dict[int, Package]]]",
-        traced: bool = False,
-    ) -> tuple[list, "list[dict[str, float]] | None"]:
-        """Same contract as :meth:`EnginePool.observe`; traced stages are
-        ``{"worker": engine seconds, "pipe": round trip beyond compute}``,
-        the pipe one cost shared by every group of the call."""
-        started = perf_counter() if traced else 0.0
+        self, groups: "list[tuple[str, dict[int, Package]]]"
+    ) -> tuple[list, list[float]]:
+        """Same contract as :meth:`EnginePool.observe`; the seconds are
+        the worker's, from the OBSERVE reply's trailer."""
         request = encode_observe(
             [
-                (
-                    route_label(*route),
-                    [(sid, encode_stream_data(pkg, 0)) for sid, pkg in batch.items()],
-                )
-                for route, batch in groups
+                (label, [(sid, encode_stream_data(pkg, 0)) for sid, pkg in batch.items()])
+                for label, batch in groups
             ]
         )
         rows, seconds = decode_verdicts(
@@ -669,21 +646,16 @@ class WorkerPool:
             results.append(
                 ([verdict for verdict, _ in chunk], [level for _, level in chunk])
             )
-        if not traced:
-            return results, None
-        # Whatever the round trip spent beyond total compute is pipe and
-        # framing overhead, shared by every row of this request.
-        pipe = max(0.0, perf_counter() - started - sum(seconds))
-        return results, [{"worker": s, "pipe": pipe} for s in seconds]
+        return results, seconds
 
     async def _call(self, op: str, **args: Any) -> Any:
         return decode_reply(await self._handle.call(encode_call(op, **args)))
 
-    async def attach(self, route: Route) -> int:
-        return await self._call("attach", label=route_label(*route))
+    async def attach(self, label: str) -> int:
+        return await self._call("attach", label=label)
 
-    async def seen(self, route: Route, stream_id: int) -> int:
-        return await self._call("seen", label=route_label(*route), stream_id=stream_id)
+    async def seen(self, label: str, stream_id: int) -> int:
+        return await self._call("seen", label=label, stream_id=stream_id)
 
     async def swap(
         self, scenario: str, old_version: int, new_version: int, stream_id: int

@@ -36,9 +36,9 @@ from repro.experiments.pipeline import run_pipeline
 from repro.serve.workers import EnginePool
 from tests.core.test_exactness import ReferenceEngine, assert_same_state_bytes
 
-GAS, WATER, SOLO = ("gas_pipeline", 1), ("water_tank", 1), ("gas_pipeline", 2)
+GAS, WATER, SOLO = "gas_pipeline@1", "water_tank@1", "gas_pipeline@2"
 
-#: Route -> (streams attached, streams that take traffic).  GAS keeps an
+#: Route label -> (streams attached, streams that take traffic).  GAS keeps an
 #: idle stream, WATER has none (so full ticks in slot order occur), and
 #: SOLO is the one-stream engine of a closed-loop client.
 LAYOUT = {GAS: (4, 3), WATER: (3, 3), SOLO: (1, 1)}
@@ -135,22 +135,21 @@ def run_drains(detectors, captures, seed, drains):
     rows = 0
     for number in range(drains):
         groups = traffic.drain()
-        coroutine = pool.observe(groups, traced=number % 2 == 0)
+        coroutine = pool.observe(groups)
         started = time.perf_counter()
         try:
             coroutine.send(None)
         except StopIteration as done:
-            results, stages = done.value
+            results, seconds = done.value
         else:  # pragma: no cover - the pool never suspends
             raise AssertionError("pool.observe suspended")
         elapsed = time.perf_counter() - started
         assert len(results) == len(groups)
-        if stages is not None:
-            # Each pass's seconds are split over its groups by rows, so
-            # the groups' stages add up to no more than the call.
-            assert len(stages) == len(groups)
-            assert all(stage["tick"] >= 0.0 for stage in stages)
-            assert sum(stage["tick"] for stage in stages) <= elapsed
+        # Each pass's seconds are split over its groups by rows, so the
+        # groups' seconds add up to no more than the call.
+        assert len(seconds) == len(groups)
+        assert all(second >= 0.0 for second in seconds)
+        assert sum(seconds) <= elapsed
         for (route, batch), (verdicts, levels) in zip(groups, results):
             want_verdicts, want_levels = reference[route].observe_batch(batch)
             assert verdicts.dtype == want_verdicts.dtype

@@ -11,8 +11,6 @@ from repro.core.metrics import (
     DetectionMetrics,
     confusion_counts,
     evaluate_detection,
-    format_metrics_table,
-    format_per_attack_table,
     per_attack_recall,
 )
 
@@ -103,13 +101,3 @@ class TestPerAttackRecall:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
             per_attack_recall([0, 1], [True])
-
-
-class TestFormatting:
-    def test_metrics_table(self):
-        table = format_metrics_table({"X": DetectionMetrics(1, 1, 1, 1)})
-        assert "X" in table and "Precision" in table
-
-    def test_per_attack_table(self):
-        table = format_per_attack_table({"X": {1: 0.5, 6: 1.0}})
-        assert "NMRI" in table and "DoS" in table

@@ -1,14 +1,15 @@
-"""Tests for granularity search (Fig 5) and choose-k (Fig 6)."""
+"""Tests for granularity search (Fig 5) and choosing k (Fig 6)."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from repro.core.combined import DetectorConfig, choose_k_from_curve
 from repro.core.discretization import FeatureDiscretizer
 from repro.core.signatures import SignatureVocabulary
 from repro.core.timeseries_detector import TimeSeriesDetector, TimeSeriesDetectorConfig
-from repro.core.tuning import choose_k, granularity_search
+from repro.core.tuning import granularity_search
 from repro.ics.dataset import DatasetConfig, generate_dataset
 
 
@@ -103,16 +104,18 @@ class TestChooseK:
 
     def test_returns_curve_and_k(self, detector):
         ts, val_codes = detector
-        k, curve = choose_k(ts, val_codes, theta=0.5, max_k=6)
+        curve = ts.top_k_errors(val_codes, list(range(1, 7)))
+        k = choose_k_from_curve(curve, 0.5)
         assert 1 <= k <= 6
         assert set(curve) == {1, 2, 3, 4, 5, 6}
         # k is the smallest below theta, or max_k.
         below = [kk for kk in sorted(curve) if curve[kk] < 0.5]
         assert k == (below[0] if below else 6)
 
-    def test_validation(self, detector):
-        ts, val_codes = detector
-        with pytest.raises(ValueError):
-            choose_k(ts, val_codes, theta=1.5)
-        with pytest.raises(ValueError):
-            choose_k(ts, val_codes, theta=0.1, max_k=0)
+    def test_validation(self):
+        # train() takes theta and max_k from its config, which refuses
+        # a theta outside (0, 1) and an empty k range.
+        with pytest.raises(ValueError, match="theta_timeseries"):
+            DetectorConfig(theta_timeseries=1.5).validate()
+        with pytest.raises(ValueError, match="max_k"):
+            DetectorConfig(max_k=0).validate()

@@ -31,7 +31,12 @@ from hypothesis import strategies as st
 from repro.obs import Historian
 from repro.persistence import route_label
 from repro.registry import ModelRegistry
-from repro.serve.gateway import DetectionGateway, GatewayConfig, start_in_thread
+from repro.serve.gateway import (
+    DetectionGateway,
+    GatewayConfig,
+    ShardError,
+    start_in_thread,
+)
 from repro.serve.replay import ReplayClient
 from repro.serve.transport import encode_stream_data
 from repro.serve.workers import (
@@ -151,7 +156,7 @@ def exchanges(detector, capture, streams, steps, ticks, offset):
         stream_id=last,
     )
     yield serve_request(pool, swap), decode_reply, lambda got: got == expected_swap
-    assert (V1 in pool.engines) == (streams > 1)
+    assert (route_label(*V1) in pool.engines) == (streams > 1)
 
 
 class TestCodecProperties:
@@ -365,9 +370,10 @@ class TestDeadShardWorker:
         self, detector, capture, tmp_path
     ):
         """Shard 1's idle worker dies: stop() cannot write the shutdown
-        checkpoint (it needs every shard) and says so, but still closes
-        the other worker, flushes every verdict to the historian and
-        stops the loop thread; stats() keeps answering."""
+        checkpoint (it needs every shard) and says so, by the shard
+        failure the failed snapshot records, but still closes the other
+        worker, flushes every verdict to the historian and stops the
+        loop thread; stats() keeps answering."""
         historian = Historian(tmp_path / "hist")
         threads_before = set(threading.enumerate())
         workers_before = set(shard_workers().values())
@@ -396,8 +402,9 @@ class TestDeadShardWorker:
             workers["repro-shard-worker-1"].kill()
             workers["repro-shard-worker-1"].join(10.0)
             assert not workers["repro-shard-worker-1"].is_alive()
-            with pytest.raises(WorkerError):
+            with pytest.raises(ShardError, match="shard 1 failed") as failure:
                 handle.stop()
+            assert isinstance(failure.value.__cause__, WorkerError)
             assert len(historian.query(stream_key="plant")) == 60
             loop_thread.join(10.0)
             assert not loop_thread.is_alive()
@@ -407,6 +414,7 @@ class TestDeadShardWorker:
             assert stats["routes"]["plant"]["packages"] == 60
             assert stats["shards"][0]["packages"] == 60
             assert stats["shards"][1]["packages"] == 0
+            assert [entry["shard"] for entry in stats["failed_shards"]] == [1]
         finally:
             historian.close()
 

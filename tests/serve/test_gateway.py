@@ -24,7 +24,6 @@ import pytest
 from repro.ics.features import FEATURE_NAMES
 from repro.persistence import (
     SINGLE_LABEL,
-    SINGLE_ROUTE,
     RouteBinding,
     load_gateway_checkpoint,
     save_gateway_checkpoint,
@@ -395,7 +394,7 @@ class TestFailover:
         restored = load_gateway_checkpoint(path)
         assert restored.bindings == bindings
         assert [len(pool) for pool in restored.pools] == [1, 1]
-        assert [pool[SINGLE_ROUTE].num_streams for pool in restored.pools] == [2, 1]
+        assert [pool[SINGLE_LABEL].num_streams for pool in restored.pools] == [2, 1]
         assert restored.meta == {"x": 1}
 
     def test_wrong_kind_artifact_rejected(self, detector, tmp_path):
@@ -431,7 +430,7 @@ class TestDrainSplit:
         batches, counts, rest = shard._take_ticks(pending)
         # Two groups a tick: a third tick would make six.
         assert counts == [2, 2]
-        assert [route for route, _ in batches] == [("a", 1), ("b", 1)] * 2
+        assert [label for label, _ in batches] == ["a@1", "b@1"] * 2
         assert [item[1] for item in rest] == [4, 5, 6, 7]
 
     def test_cut_at_the_tick_a_checkpoint_falls_due(self, detector, tmp_path):

@@ -28,7 +28,7 @@ def reference_build_tick(pending):
     groups, leftover, count = {}, deque(), 0
     for item in pending:
         route = item[0].route
-        by_stream = groups.setdefault(route.route_key, {})
+        by_stream = groups.setdefault(route.label, {})
         if route.stream_id in by_stream:
             leftover.append(item)
         else:

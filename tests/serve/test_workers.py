@@ -556,18 +556,3 @@ class TestRoutedProcessGateway:
             assert handle2.stats()["routes"]["a"]["scenario"] == "gas_pipeline"
         finally:
             handle2.stop()
-
-    def test_process_mode_without_registry_root_is_rejected(
-        self, registry, scenario_detectors
-    ):
-        """A router with no on-disk registry cannot ship routes to
-        worker processes — that must fail at start, not mid-stream."""
-        from repro.registry.router import ScenarioRouter
-
-        router = ScenarioRouter(registry)
-        router.registry.root = None  # simulate an in-memory-only router
-        gateway = DetectionGateway(
-            config=GatewayConfig(worker_mode="process"), router=router
-        )
-        with pytest.raises(Exception, match="registry-backed"):
-            start_in_thread(None, gateway=gateway)

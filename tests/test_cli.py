@@ -417,6 +417,29 @@ class TestRegistryCommand:
         with pytest.raises(SystemExit, match="no published models"):
             main(["serve", "--registry", str(registry_dir)])
 
+    def test_resume_of_a_version_the_registry_lacks_is_a_clean_error(
+        self, model_path, registry_dir, tmp_path
+    ):
+        from repro.persistence import (
+            RouteBinding,
+            load_detector,
+            save_gateway_checkpoint,
+        )
+
+        engine = load_detector(model_path).engine(1)
+        checkpoint = tmp_path / "gateway.npz"
+        save_gateway_checkpoint(
+            checkpoint,
+            [{"gas_pipeline@1": engine.state_dict()}],
+            {"site": RouteBinding(0, "gas_pipeline", 1, engine.stream_ids[0])},
+        )
+        registry_dir.mkdir()
+        with pytest.raises(
+            SystemExit, match="^error: scenario 'gas_pipeline' has no published version 1"
+        ):
+            main(["serve", "--registry", str(registry_dir), "--resume",
+                  "--checkpoint", str(checkpoint)])
+
     def test_heterogeneous_fleet_from_prepublished_registry(
         self, model_path, registry_dir, tmp_path, capsys
     ):
